@@ -12,12 +12,10 @@ from .autodiff import (
 )
 from .diffusion import (
     DiffusionError,
-    GuidanceConfig,
     NoiseSchedule,
     ScoreNet,
     combine_cfg,
     dsm_loss,
-    estimate_score,
     guided_score_cg,
     perturb,
     sample_cfg,
@@ -35,7 +33,7 @@ from .metrics import (
     secs_analog,
     speaker_id_accuracy,
 )
-from .stylegen import EmotionTable, Generator, StyleEncoder, emotion_embed, encode_style, generate_mu
+from .stylegen import EmotionTable, Generator, StyleEncoder
 from .training import (
     Checkpoint,
     EmotionProbeHead,

@@ -17,25 +17,20 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfg
 from . import metrics as mx
+from .checkpoint import CheckpointError
 from .config import ConfigError, config_hash, mix_seed
-from .diffusion import NoiseSchedule, sample_cfg, sample_cg, sample_reverse
-from .training import (
-    Checkpoint,
-    ModelConfig,
-    TrainConfig,
-    TrainingError,
-    train_model,
-    train_noisy_classifier,
-)
+from .diffusion import NoiseSchedule
+from .metrics import EvalError
+from .training import Checkpoint, TrainingError, train_model, train_noisy_classifier
 from .world import (
     World,
-    WorldConfig,
     WorldError,
     dump_world,
     load_world,
@@ -72,6 +67,16 @@ def _run_dir(config: dict, args) -> Path:
     return run_dir
 
 
+def _section_config(config: dict, section: str):
+    """The dataclass that owns ``[section]``, built from its resolved keys;
+    a stage seed is mixed with the global seed."""
+    cls = cfg.DATACLASSES[section]
+    values = {f.name: config[section][f.name] for f in fields(cls)}
+    if "seed" in values:
+        values["seed"] = mix_seed(config["run"]["seed"], values["seed"])
+    return cls(**values)
+
+
 def _build_world(config: dict, args) -> World:
     if getattr(args, "world", None):
         path = Path(args.world)
@@ -79,48 +84,43 @@ def _build_world(config: dict, args) -> World:
             print(f"error: world file not found: {path}", file=sys.stderr)
             raise SystemExit(EXIT_MISSING)
         return load_world(path.read_text(encoding="utf-8"))
-    w = config["world"]
-    return make_world(
-        WorldConfig(frame_dim=w["frame_dim"], vocab=w["vocab"], n_speakers=w["speakers"],
-                    n_emotions=w["emotions"], tau=w["tau"], max_len=w["max_len"]),
-        seed=mix_seed(config["run"]["seed"], w["seed"]),
-    )
+    return make_world(_section_config(config, "world"),
+                      seed=mix_seed(config["run"]["seed"], config["world"]["seed"]))
 
 
-def _load_checkpoint(args) -> Checkpoint:
+def _checkpoint_and_world(config: dict, args) -> tuple[Checkpoint, World]:
+    """The checkpoint and the world; exit 3 without the checkpoint file and 2
+    unless the checkpoint was trained on that world."""
     path = Path(args.checkpoint) if args.checkpoint else None
     if path is None or not path.exists():
         print(f"error: checkpoint not found: {path}", file=sys.stderr)
         raise SystemExit(EXIT_MISSING)
-    return Checkpoint.from_bytes(path.read_bytes())
-
-
-def _model_config(config: dict) -> ModelConfig:
-    m = config["model"]
-    return ModelConfig(
-        style_dim=m["style_dim"], emotion_dim=m["emotion_dim"], token_dim=m["token_dim"],
-        hidden=m["hidden"], n_hidden=m["n_hidden"], clf_hidden=m["clf_hidden"],
-        beta0=m["beta0"], beta1=m["beta1"], t_final=m["t_final"], t_min=m["t_min"],
-        seed=mix_seed(config["run"]["seed"], m["seed"]),
-    )
-
-
-def _train_config(config: dict) -> TrainConfig:
-    t = config["train"]
-    return TrainConfig(
-        alpha=t["alpha"], p_null=t["p_null"], lr=t["lr"], steps=t["steps"],
-        batch_size=t["batch_size"], w_recon=t["w_recon"], w_dsm=t["w_dsm"],
-        w_dat=t["w_dat"], clip_norm=t["clip_norm"], utt_len=t["utt_len"],
-        dat_probe_steps=t["dat_probe_steps"], dat_probe_lr=t["dat_probe_lr"],
-        dat_probe_reinit=t["dat_probe_reinit"],
-        clf_steps=t["clf_steps"], clf_lr=t["clf_lr"], clf_batch=t["clf_batch"],
-        seed=mix_seed(config["run"]["seed"], t["seed"]),
-    )
+    ckpt = Checkpoint.from_bytes(path.read_bytes())
+    world = _build_world(config, args)
+    if world_hash(world) != ckpt.world_hash:
+        print(f"error: checkpoint was trained on world {ckpt.world_hash}, "
+              f"got {world_hash(world)}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return ckpt, world
 
 
 def _split(world: World, config: dict):
     return split_speakers(world, config["world"]["n_seen"],
                           mix_seed(config["run"]["seed"], config["world"]["split_seed"]))
+
+
+def _eval_inputs(args):
+    """What eval and sweep share: the config, run directory, checkpoint,
+    world, the speakers of ``eval.group`` and the evaluation seed."""
+    config = _load_config(args)
+    group = config["eval"]["group"]
+    if group not in ("seen", "unseen"):
+        raise ConfigError(f"eval.group must be 'seen' or 'unseen', got {group!r}")
+    run_dir = _run_dir(config, args)
+    ckpt, world = _checkpoint_and_world(config, args)
+    speakers = getattr(_split(world, config), group)
+    return (config, run_dir, ckpt, world, speakers,
+            mix_seed(config["run"]["seed"], config["eval"]["seed"]))
 
 
 def _write_jsonl(path: Path, records) -> None:
@@ -149,8 +149,8 @@ def cmd_train(args) -> int:
     world = _build_world(config, args)
     split = _split(world, config)
     trace: list = []
-    ckpt = train_model(world, split, _train_config(config), _model_config(config),
-                       trace=trace)
+    ckpt = train_model(world, split, _section_config(config, "train"),
+                       _section_config(config, "model"), trace=trace)
     (run_dir / "checkpoint.bin").write_bytes(ckpt.to_bytes())
     _write_jsonl(run_dir / "losses.jsonl", trace)
     vectors, labels = mx.collect_style_vectors(
@@ -165,15 +165,11 @@ def cmd_train(args) -> int:
 def cmd_train_clf(args) -> int:
     config = _load_config(args)
     run_dir = _run_dir(config, args)
-    ckpt = _load_checkpoint(args)
-    world = _build_world(config, args)
-    if world_hash(world) != ckpt.world_hash:
-        print(f"error: checkpoint was trained on world {ckpt.world_hash}, "
-              f"got {world_hash(world)}", file=sys.stderr)
-        return EXIT_USAGE
+    ckpt, world = _checkpoint_and_world(config, args)
     split = _split(world, config)
     trace: list = []
-    train_noisy_classifier(world, split, ckpt.model, _train_config(config), trace=trace)
+    train_noisy_classifier(world, split, ckpt.model, _section_config(config, "train"),
+                           trace=trace)
     (run_dir / "checkpoint.bin").write_bytes(ckpt.to_bytes())
     _write_jsonl(run_dir / "losses.jsonl", trace)
     print(f"noisy classifier trained -> {run_dir / 'checkpoint.bin'}")
@@ -183,13 +179,9 @@ def cmd_train_clf(args) -> int:
 def cmd_sample(args) -> int:
     config = _load_config(args)
     run_dir = _run_dir(config, args)
-    ckpt = _load_checkpoint(args)
-    world = _build_world(config, args)
-    if world_hash(world) != ckpt.world_hash:
-        print(f"error: checkpoint was trained on world {ckpt.world_hash}, "
-              f"got {world_hash(world)}", file=sys.stderr)
-        return EXIT_USAGE
+    ckpt, world = _checkpoint_and_world(config, args)
     s = config["sample"]
+    emotion = world.check_emotion(s["emotion"])
     seed = mix_seed(config["run"]["seed"], s["seed"])
     rng = np.random.default_rng([seed, 0x5A11])
     tokens = np.asarray(s["tokens"], dtype=np.int64)
@@ -197,35 +189,17 @@ def cmd_sample(args) -> int:
         tokens = rng.integers(0, world.vocab, size=config["eval"]["script_len"])
     model = ckpt.model
     records = []
-    p_null_never_trained = ckpt.train_config.p_null == 0.0 and s["mode"] in ("cfg", "cg")
+    p_null_never_trained = ckpt.train_config.p_null == 0.0 and s["mode"] != "none"
     for i in range(s["n"]):
         ref = sample_utterance(world, s["speaker"], 0,
                                rng.integers(0, world.vocab, size=tokens.size),
                                rng)
         style = model.encoder.encode(ref.frames)
         trajectory: list | None = [] if s["trajectory"] else None
-        if s["mode"] == "none":
-            e = model.table.embed(s["emotion"])
-            mu = model.generator.generate(tokens, style, e)
-            from .diffusion import sample_reverse
-            frames = sample_reverse(model.scorenet, mu, style, e, model.schedule,
-                                    s["steps"], rng.integers(0, 2 ** 63 - 1),
-                                    stochastic=s["stochastic"], trajectory=trajectory)
-        elif s["mode"] == "cfg":
-            from .diffusion import sample_cfg
-            frames = sample_cfg(model.scorenet, model.generator, model.table, tokens,
-                                style, s["emotion"], model.schedule, s["steps"],
-                                s["gamma"], rng.integers(0, 2 ** 63 - 1),
-                                stochastic=s["stochastic"])
-        elif s["mode"] == "cg":
-            from .diffusion import sample_cg
-            frames = sample_cg(model.scorenet, model.noisy_clf, model.generator,
-                               model.table, tokens, style, s["emotion"],
-                               model.schedule, s["steps"], s["gamma"],
-                               rng.integers(0, 2 ** 63 - 1), stochastic=s["stochastic"])
-        else:
-            print(f"error: unknown sample mode '{s['mode']}'", file=sys.stderr)
-            return EXIT_USAGE
+        frames = mx.sample_frames(model, s["mode"], tokens[None], style[None],
+                                  np.array([emotion]), s["gamma"], s["steps"],
+                                  rng.integers(0, 2 ** 63 - 1), s["stochastic"],
+                                  trajectory)[0]
         record = {
             "index": i,
             "speaker": s["speaker"],
@@ -246,18 +220,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(config, args)
-    ckpt = _load_checkpoint(args)
-    world = _build_world(config, args)
-    if world_hash(world) != ckpt.world_hash:
-        print(f"error: checkpoint was trained on world {ckpt.world_hash}, "
-              f"got {world_hash(world)}", file=sys.stderr)
-        return EXIT_USAGE
-    split = _split(world, config)
+    config, run_dir, ckpt, world, speakers, seed = _eval_inputs(args)
     e = config["eval"]
-    seed = mix_seed(config["run"]["seed"], e["seed"])
-    speakers = split.seen if e["group"] == "seen" else split.unseen
     gamma = config["sample"]["gamma"]
     row = mx.evaluate_cell(ckpt.model, world, speakers, e["mode"], gamma,
                            e["n_samples"], seed, e["steps"], e["n_scripts"],
@@ -270,12 +234,8 @@ def cmd_eval(args) -> int:
         "group": e["group"],
         "seed": seed,
     }
-    reports = [
-        mx.EvalReport("eca", row.eca, row.n, fingerprint),
-        mx.EvalReport("content_error", row.content_error, row.n, fingerprint),
-        mx.EvalReport("secs_mean_frame", row.secs_mean_frame, row.n, fingerprint),
-        mx.EvalReport("secs_style", row.secs_style, row.n, fingerprint),
-    ]
+    reports = [mx.EvalReport(metric, getattr(row, metric), row.n, fingerprint)
+               for metric in ("eca", "content_error", "secs_mean_frame", "secs_style")]
     result = mx.SweepResult(rows=[row], fingerprint=fingerprint)
     (run_dir / "metrics.csv").write_text(result.to_csv(), encoding="utf-8")
     with (run_dir / "report.jsonl").open("w", encoding="utf-8") as fh:
@@ -287,18 +247,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(config, args)
-    ckpt = _load_checkpoint(args)
-    world = _build_world(config, args)
-    if world_hash(world) != ckpt.world_hash:
-        print(f"error: checkpoint was trained on world {ckpt.world_hash}, "
-              f"got {world_hash(world)}", file=sys.stderr)
-        return EXIT_USAGE
-    split = _split(world, config)
+    config, run_dir, ckpt, world, speakers, seed = _eval_inputs(args)
     e = config["eval"]
-    seed = mix_seed(config["run"]["seed"], e["seed"])
-    speakers = split.seen if e["group"] == "seen" else split.unseen
     result = mx.guidance_sweep(ckpt, world, speakers, list(e["gammas"]), e["mode"],
                                e["n_samples"], seed, e["steps"], e["n_scripts"],
                                e["script_len"], e["stochastic"])
@@ -348,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parent for hash-named run directories")
         p.add_argument("--world", help="load a serialized world instead of generating")
         if name in ("train-clf", "sample", "eval", "sweep"):
-            p.add_argument("--checkpoint", required=False,
-                           help="path to a checkpoint.bin")
+            p.add_argument("--checkpoint", help="path to a checkpoint.bin")
         p.set_defaults(fn=fn)
     return parser
 
@@ -366,7 +315,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (WorldError, TrainingError) as exc:
+    except (WorldError, TrainingError, EvalError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

@@ -5,10 +5,13 @@ The format is deliberately parser-free:
     # comment
     [world]
     tau = 0.3
-    emotions = 4
+    n_emotions = 4
 
+The ``world``, ``model`` and ``train`` sections are the fields of
+``WorldConfig``, ``ModelConfig`` and ``TrainConfig``, with their names,
+types and defaults; only the keys no dataclass owns are declared here.
 Unknown sections or keys are rejected with line diagnostics; missing keys
-take documented defaults. ``render`` produces a canonical serialization
+take their defaults. ``render`` produces a canonical serialization
 (fixed section and key order) whose hash names the run directory, and a
 re-parsed render resolves to the identical configuration.
 
@@ -19,6 +22,10 @@ global seed reseeds the whole pipeline while stage seeds stay overridable.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
+
+from .training import ModelConfig, TrainConfig
+from .world import WorldConfig
 
 
 class ConfigError(Exception):
@@ -34,14 +41,9 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_int_list(raw: str) -> tuple:
-    raw = raw.strip()
-    return tuple(int(v) for v in raw.split(",")) if raw else ()
-
-
-def _parse_float_list(raw: str) -> tuple:
-    raw = raw.strip()
-    return tuple(float(v) for v in raw.split(",")) if raw else ()
+def _list_parser(cast):
+    """Parser of comma-separated values; empty text is the empty tuple."""
+    return lambda raw: tuple(cast(v) for v in raw.split(",")) if raw.strip() else ()
 
 
 _PARSERS = {
@@ -49,8 +51,8 @@ _PARSERS = {
     "float": float,
     "bool": _parse_bool,
     "str": lambda s: s.strip(),
-    "int_list": _parse_int_list,
-    "float_list": _parse_float_list,
+    "int_list": _list_parser(int),
+    "float_list": _list_parser(float),
 }
 
 
@@ -64,85 +66,69 @@ def _render_value(kind: str, value) -> str:
     return str(value)
 
 
-# (type, default, description) per key; section and key order is canonical
+# the dataclass that owns each section's fields; cli builds them from a
+# resolved config
+DATACLASSES = {"world": WorldConfig, "model": ModelConfig, "train": TrainConfig}
+
+
+def _declared(section: str) -> dict[str, tuple]:
+    """Schema entries of a section's dataclass: its field names, types and defaults."""
+    return {f.name: (getattr(f.type, "__name__", f.type), f.default)
+            for f in fields(DATACLASSES[section])}
+
+
+# (type, default) per key; section and key order is canonical
 SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
-        "seed": ("int", 0, "global seed mixed into every stage seed"),
+        "seed": ("int", 0),  # global seed mixed into every stage seed
     },
     "world": {
-        "frame_dim": ("int", 8, "frame dimensionality D"),
-        "vocab": ("int", 10, "token vocabulary size"),
-        "speakers": ("int", 10, "number of speakers"),
-        "emotions": ("int", 4, "number of emotions incl. Neutral"),
-        "tau": ("float", 0.3, "per-frame noise scale"),
-        "max_len": ("int", 16, "maximum utterance length"),
-        "n_seen": ("int", 6, "speakers in the seen split"),
-        "seed": ("int", 7, "world construction seed"),
-        "split_seed": ("int", 0, "seen/unseen split seed"),
+        **_declared("world"),
+        "n_seen": ("int", 6),  # speakers in the seen split
+        "seed": ("int", 7),  # world construction seed
+        "split_seed": ("int", 0),  # seen/unseen split seed
     },
-    "model": {
-        "style_dim": ("int", 16, "style vector dimension"),
-        "emotion_dim": ("int", 8, "emotion embedding dimension"),
-        "token_dim": ("int", 8, "token embedding dimension"),
-        "hidden": ("int", 64, "MLP hidden width"),
-        "n_hidden": ("int", 2, "MLP hidden layers"),
-        "clf_hidden": ("int", 64, "noisy classifier hidden width"),
-        "beta0": ("float", 0.05, "noise schedule start"),
-        "beta1": ("float", 20.0, "noise schedule end"),
-        "t_final": ("float", 1.0, "terminal diffusion time"),
-        "t_min": ("float", 1e-3, "lower time cutoff"),
-        "seed": ("int", 0, "parameter initialization seed"),
-    },
-    "train": {
-        "alpha": ("float", 1.0, "gradient reversal scale"),
-        "p_null": ("float", 0.1, "null-embedding dropout probability"),
-        "lr": ("float", 0.01, "SGD learning rate"),
-        "steps": ("int", 12000, "training steps"),
-        "batch_size": ("int", 16, "utterances per step"),
-        "w_recon": ("float", 1.0, "reconstruction loss weight"),
-        "w_dsm": ("float", 1.0, "score matching loss weight"),
-        "w_dat": ("float", 0.5, "adversarial loss weight"),
-        "clip_norm": ("float", 5.0, "global gradient clip"),
-        "utt_len": ("int", 8, "training utterance length"),
-        "dat_probe_steps": ("int", 15, "probe-only updates per step"),
-        "dat_probe_lr": ("float", 0.05, "probe-only learning rate"),
-        "dat_probe_reinit": ("int", 1500, "steps between probe reinits (0 = never)"),
-        "clf_steps": ("int", 3000, "noisy classifier steps"),
-        "clf_lr": ("float", 0.05, "noisy classifier learning rate"),
-        "clf_batch": ("int", 32, "noisy classifier batch size"),
-        "seed": ("int", 0, "training seed"),
-    },
+    "model": _declared("model"),
+    "train": _declared("train"),
     "sample": {
-        "steps": ("int", 100, "reverse integration steps"),
-        "stochastic": ("bool", True, "inject reverse-time noise"),
-        "mode": ("str", "none", "none | cfg | cg"),
-        "gamma": ("float", 0.0, "guidance scale"),
-        "speaker": ("int", 0, "target speaker id"),
-        "emotion": ("int", 1, "target emotion id"),
-        "tokens": ("int_list", (), "token sequence; empty draws a random script"),
-        "n": ("int", 4, "number of samples"),
-        "trajectory": ("bool", False, "dump per-step trajectory records"),
-        "seed": ("int", 0, "sampling seed"),
+        "steps": ("int", 100),  # reverse integration steps
+        "stochastic": ("bool", True),  # inject reverse-time noise
+        "mode": ("str", "none"),  # none | cfg | cg
+        "gamma": ("float", 0.0),  # guidance scale, also used by eval
+        "speaker": ("int", 0),  # target speaker id
+        "emotion": ("int", 1),  # target emotion id
+        "tokens": ("int_list", ()),  # token sequence; empty draws a random script
+        "n": ("int", 4),  # number of samples
+        "trajectory": ("bool", False),  # dump per-step trajectory records
+        "seed": ("int", 0),  # sampling seed
     },
     "eval": {
-        "n_samples": ("int", 200, "samples per metrics cell"),
-        "n_scripts": ("int", 10, "distinct token scripts"),
-        "script_len": ("int", 8, "script length"),
-        "gammas": ("float_list", (0.0, 0.5, 1.0, 1.5, 2.0), "sweep guidance scales"),
-        "mode": ("str", "cfg", "guidance mode for eval/sweep: none | cfg | cg"),
-        "group": ("str", "seen", "speaker group: seen | unseen"),
-        "steps": ("int", 100, "reverse integration steps"),
-        "stochastic": ("bool", True, "inject reverse-time noise"),
-        "probe_budget": ("int", 2000, "probe training steps"),
-        "per_emotion": ("int", 200, "style vectors per emotion for the probe"),
-        "seed": ("int", 0, "evaluation seed"),
+        "n_samples": ("int", 200),  # samples per metrics cell
+        "n_scripts": ("int", 10),  # distinct token scripts
+        "script_len": ("int", 8),  # script length
+        "gammas": ("float_list", (0.0, 0.5, 1.0, 1.5, 2.0)),  # sweep guidance scales
+        "mode": ("str", "cfg"),  # guidance mode for eval/sweep: none | cfg | cg
+        "group": ("str", "seen"),  # speaker group: seen | unseen
+        "steps": ("int", 100),  # reverse integration steps
+        "stochastic": ("bool", True),  # inject reverse-time noise
+        "per_emotion": ("int", 200),  # style vectors per emotion for the probe
+        "seed": ("int", 0),  # evaluation seed
     },
 }
 
 
-def defaults() -> dict[str, dict]:
-    return {section: {key: spec[1] for key, spec in keys.items()}
-            for section, keys in SCHEMA.items()}
+def _parse_value(section: str, key: str, raw: str, where: str):
+    """The typed value of ``section.key``; ``where`` prefixes each diagnostic."""
+    if section not in SCHEMA:
+        raise ConfigError(f"{where}unknown section [{section}]")
+    if key not in SCHEMA[section]:
+        raise ConfigError(f"{where}unknown key '{key}' in section [{section}]")
+    kind = SCHEMA[section][key][0]
+    try:
+        return _PARSERS[kind](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}bad {kind} value for {section}.{key}: "
+                          f"{raw.strip()!r} ({exc})") from exc
 
 
 def parse_text(text: str) -> dict[str, dict]:
@@ -165,15 +151,7 @@ def parse_text(text: str) -> dict[str, dict]:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        if key not in SCHEMA[section]:
-            raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{section}]")
-        kind = SCHEMA[section][key][0]
-        try:
-            value = _PARSERS[kind](raw_value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad {kind} value for "
-                              f"{section}.{key}: {raw_value.strip()!r} ({exc})") from exc
-        out[section][key] = value
+        out[section][key] = _parse_value(section, key, raw_value, f"line {lineno}: ")
     return out
 
 
@@ -184,21 +162,14 @@ def apply_overrides(config: dict[str, dict], overrides: list[str]) -> None:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         path, _, raw_value = item.partition("=")
         section, _, key = path.strip().partition(".")
-        if section not in SCHEMA:
-            raise ConfigError(f"override names unknown section [{section}]")
-        if key not in SCHEMA[section]:
-            raise ConfigError(f"override names unknown key '{key}' in [{section}]")
-        kind = SCHEMA[section][key][0]
-        try:
-            config[section][key] = _PARSERS[kind](raw_value)
-        except ValueError as exc:
-            raise ConfigError(f"bad {kind} value in override {item!r} ({exc})") from exc
+        config[section][key] = _parse_value(section, key, raw_value, f"override {item!r}: ")
 
 
 def resolve(partial: dict[str, dict] | None = None,
             overrides: list[str] | None = None) -> dict[str, dict]:
     """Merge a partial parse over the defaults and apply overrides."""
-    config = defaults()
+    config = {section: {key: spec[1] for key, spec in keys.items()}
+              for section, keys in SCHEMA.items()}
     for section, keys in (partial or {}).items():
         config[section].update(keys)
     if overrides:
@@ -224,9 +195,3 @@ def config_hash(config: dict[str, dict]) -> str:
 def mix_seed(run_seed: int, stage_seed: int) -> int:
     """Deterministic combination of the global seed with a stage seed."""
     return (run_seed * 1_000_003 + stage_seed) % (2 ** 63)
-
-
-def load_file(path, overrides: list[str] | None = None) -> dict[str, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return resolve(parse_text(text), overrides)

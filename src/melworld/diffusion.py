@@ -65,19 +65,6 @@ class NoiseSchedule:
         return 1.0 - np.exp(-self.B(t))
 
 
-@dataclass(frozen=True)
-class GuidanceConfig:
-    mode: str = "none"  # none | classifier | classifier_free
-    gamma: float = 0.0
-    stochastic: bool = True
-
-    def __post_init__(self):
-        if self.mode not in ("none", "classifier", "classifier_free"):
-            raise DiffusionError(f"unknown guidance mode '{self.mode}'")
-        if self.gamma < 0:
-            raise DiffusionError(f"gamma must be >= 0, got {self.gamma}")
-
-
 # width of the skip-coefficient MLP g(t) in ScoreNet
 _SKIP_HIDDEN = 16
 
@@ -205,11 +192,6 @@ class ScoreNet:
 
     def __call__(self, y_t, t, mu, s, e_emb) -> np.ndarray:
         return self.score_t(Tensor(y_t), t, Tensor(mu), Tensor(s), Tensor(e_emb)).data
-
-
-def estimate_score(scorenet: ScoreNet, y_t, t, mu, s, e_emb) -> np.ndarray:
-    """Score estimate for one utterance (or a batch); pure and per-row."""
-    return scorenet(y_t, t, mu, s, e_emb)
 
 
 def dsm_loss_t(scorenet: ScoreNet, y0: np.ndarray, mu, s, e_emb,
@@ -356,9 +338,22 @@ def sample_reverse(scorenet, mu, s, e_emb, schedule: NoiseSchedule, steps: int,
     return out[0] if single else out
 
 
+def _guided_inputs(generator, table, tokens, s, emotion_label):
+    """What both guided samplers build first: the token and style batches,
+    one target per row, the null embedding and the null-path prior mean."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    single = tokens.ndim == 1
+    toks = tokens[None] if single else tokens
+    s_b = np.atleast_2d(np.asarray(s, dtype=np.float64))
+    n = toks.shape[0]
+    targets = np.broadcast_to(np.asarray(emotion_label, dtype=np.int64), (n,))
+    e_null = table.params["emb"].data[np.full(n, table.null_index, dtype=np.int64)]
+    return single, toks, s_b, targets, e_null, generator.generate(toks, s_b, e_null)
+
+
 def sample_cfg(scorenet, generator, table, tokens, s, emotion_label,
                schedule: NoiseSchedule, steps: int, gamma: float, seed,
-               stochastic: bool = True) -> np.ndarray:
+               stochastic: bool = True, trajectory: list | None = None) -> np.ndarray:
     """Classifier-free guided sampling.
 
     Builds the conditional prior mean mu = f(tokens, s, e) and the null-path
@@ -366,53 +361,35 @@ def sample_cfg(scorenet, generator, table, tokens, s, emotion_label,
     unconditional score estimates. The drift and the prior draw use the
     conditional mu.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    single = tokens.ndim == 1
-    toks = tokens[None] if single else tokens
-    s_b = np.atleast_2d(np.asarray(s, dtype=np.float64))
-    n = toks.shape[0]
-    labels = [emotion_label] * n if single or np.isscalar(emotion_label) else list(emotion_label)
-    idx_cond = table.row_indices(labels)
-    idx_null = np.full(n, table.null_index, dtype=np.int64)
-    e_cond = table.params["emb"].data[idx_cond]
-    e_null = table.params["emb"].data[idx_null]
+    single, toks, s_b, targets, e_null, mu_null = _guided_inputs(
+        generator, table, tokens, s, emotion_label)
+    e_cond = table.params["emb"].data[table.row_indices(targets)]
     mu_cond = generator.generate(toks, s_b, e_cond)
-    mu_null = generator.generate(toks, s_b, e_null)
 
     def score_fn(y, t):
         eps_c = scorenet(y, t, mu_cond, s_b, e_cond)
         eps_u = scorenet(y, t, mu_null, s_b, e_null)
         return combine_cfg(eps_c, eps_u, gamma)
 
-    out = _integrate(score_fn, mu_cond, schedule, steps, _rng(seed), stochastic)
+    out = _integrate(score_fn, mu_cond, schedule, steps, _rng(seed), stochastic, trajectory)
     return out[0] if single else out
 
 
 def sample_cg(scorenet, noisy_clf, generator, table, tokens, s, emotion_label,
               schedule: NoiseSchedule, steps: int, gamma: float, seed,
-              stochastic: bool = True) -> np.ndarray:
+              stochastic: bool = True, trajectory: list | None = None) -> np.ndarray:
     """Classifier-guided sampling on the emotion-unconditional path.
 
     The prior mean is built with the null embedding (emotion enters only
     through the classifier), and the unconditional score is the score net's
     null path.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    single = tokens.ndim == 1
-    toks = tokens[None] if single else tokens
-    s_b = np.atleast_2d(np.asarray(s, dtype=np.float64))
-    n = toks.shape[0]
-    if single or np.isscalar(emotion_label):
-        targets = np.full(n, int(emotion_label), dtype=np.int64)
-    else:
-        targets = np.asarray(emotion_label, dtype=np.int64)
-    idx_null = np.full(n, table.null_index, dtype=np.int64)
-    e_null = table.params["emb"].data[idx_null]
-    mu_null = generator.generate(toks, s_b, e_null)
+    single, _, s_b, targets, e_null, mu_null = _guided_inputs(
+        generator, table, tokens, s, emotion_label)
 
     def score_fn(y, t):
         eps_u = scorenet(y, t, mu_null, s_b, e_null)
         return guided_score_cg(eps_u, noisy_clf, y, t, targets, gamma)
 
-    out = _integrate(score_fn, mu_null, schedule, steps, _rng(seed), stochastic)
+    out = _integrate(score_fn, mu_null, schedule, steps, _rng(seed), stochastic, trajectory)
     return out[0] if single else out

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import softmax as np_softmax
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -58,31 +57,43 @@ def checkpoint_hash(checkpoint: Checkpoint) -> str:
 # core metrics
 
 
-def bayes_emotion_posterior(world: World, frames, speaker: int, tokens) -> np.ndarray:
-    """Exact posterior over emotions for clean frames, uniform prior.
+def _stack(world: World, samples: list[EvalSample], metric: str):
+    """Frames (n, L, D), speakers, targets and tokens (n, L) of same-length
+    samples, every id range-checked."""
+    if not samples:
+        raise EvalError(f"{metric} requires at least one sample")
+    toks = [world.check_tokens(sample.tokens) for sample in samples]
+    frames = [np.asarray(sample.frames, dtype=np.float64) for sample in samples]
+    shape = (toks[0].size, world.frame_dim)
+    for f, t in zip(frames, toks):
+        if f.shape != shape or t.size != shape[0]:
+            raise EvalError(f"frames shape {f.shape} with {t.size} tokens does not match "
+                            f"{shape[0]} tokens x {world.frame_dim} dims")
+    speakers = np.array([world.check_speaker(sample.speaker) for sample in samples])
+    targets = np.array([world.check_emotion(sample.target_emotion) for sample in samples])
+    return np.stack(frames), speakers, targets, np.stack(toks)
 
-    Likelihoods are spherical Gaussians around base + offset + token effect;
-    rows combine by summing log-likelihoods.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    spk = world.check_speaker(speaker)
-    toks = world.check_tokens(tokens)
-    means = (world.speaker_base[spk] + world.emotion_offset)[:, None, :] \
-        + world.token_effect[toks][None, :, :]
-    diff = frames[None, :, :] - means
-    loglik = -0.5 * (diff * diff).sum(axis=(1, 2)) / world.tau ** 2
-    return np_softmax(loglik)
+
+def _condition_means(world: World, speakers, emotions, tokens) -> np.ndarray:
+    """World means base[speaker] + offset[emotion] + token_effect[token],
+    broadcast over the leading axes of the ids; shape (..., L, D)."""
+    return (world.speaker_base[speakers] + world.emotion_offset[emotions])[..., None, :] \
+        + world.token_effect[tokens]
 
 
 def eca_oracle(world: World, samples: list[EvalSample]) -> float:
-    """Percentage of samples whose Bayes-optimal emotion equals the target."""
-    if not samples:
-        raise EvalError("eca_oracle requires at least one sample")
-    hits = 0
-    for sample in samples:
-        post = bayes_emotion_posterior(world, sample.frames, sample.speaker, sample.tokens)
-        hits += int(post.argmax()) == int(sample.target_emotion)
-    return 100.0 * hits / len(samples)
+    """Percentage of samples whose Bayes-optimal emotion equals the target.
+
+    The exact posterior over emotions for clean frames under a uniform
+    prior is a softmax of the spherical Gaussian log-likelihoods summed over
+    rows, so its argmax is the emotion whose mean is nearest.
+    """
+    frames, speakers, targets, tokens = _stack(world, samples, "eca_oracle")
+    means = _condition_means(world, speakers[:, None], np.arange(world.n_emotions)[None, :],
+                             tokens[:, None])
+    diff = frames[:, None] - means
+    best = (diff * diff).sum(axis=(2, 3)).argmin(axis=1)
+    return 100.0 * int((best == targets).sum()) / len(samples)
 
 
 def secs_analog(sample_embedding, reference_embedding) -> float:
@@ -95,29 +106,16 @@ def secs_analog(sample_embedding, reference_embedding) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def content_error(samples: list[EvalSample], world: World,
-                  return_per_sample: bool = False):
+def content_error(samples: list[EvalSample], world: World) -> float:
     """Mean squared per-row deviation from the analytic condition mean.
 
     Each row contributes its squared L2 distance to the world's mean for
     (speaker, target emotion, token); samples drawn from the true
     distribution average to frame_dim * tau^2.
     """
-    if not samples:
-        raise EvalError("content_error requires at least one sample")
-    per_sample = []
-    for sample in samples:
-        toks = world.check_tokens(sample.tokens)
-        frames = np.asarray(sample.frames, dtype=np.float64)
-        if frames.shape != (toks.size, world.frame_dim):
-            raise EvalError(f"frames shape {frames.shape} does not match "
-                            f"{toks.size} tokens x {world.frame_dim} dims")
-        mean = (world.speaker_base[world.check_speaker(sample.speaker)]
-                + world.emotion_offset[world.check_emotion(sample.target_emotion)])[None, :] \
-            + world.token_effect[toks]
-        per_sample.append(float(((frames - mean) ** 2).sum(axis=1).mean()))
-    value = float(np.mean(per_sample))
-    return (value, per_sample) if return_per_sample else value
+    frames, speakers, targets, tokens = _stack(world, samples, "content_error")
+    means = _condition_means(world, speakers, targets, tokens)
+    return float(np.mean(((frames - means) ** 2).sum(axis=2).mean(axis=1)))
 
 
 def probe_disentanglement(style_vectors, labels, budget: int = 2000,
@@ -157,21 +155,16 @@ def probe_disentanglement(style_vectors, labels, budget: int = 2000,
 def speaker_id_accuracy(world: World, samples: list[EvalSample]) -> float:
     """Nearest-speaker-mean identification of generated samples (percent).
 
-    The known emotion offset and token effects are subtracted first, so the
-    pooled residual estimates the speaker base directly.
+    Every candidate speaker's condition mean holds the known emotion offset
+    and token effects, so the candidate with the smallest row-averaged
+    residual is the speaker base nearest the pooled residual.
     """
-    if not samples:
-        raise EvalError("speaker_id_accuracy requires at least one sample")
-    hits = 0
-    for sample in samples:
-        toks = world.check_tokens(sample.tokens)
-        residual = sample.frames \
-            - world.emotion_offset[world.check_emotion(sample.target_emotion)][None, :] \
-            - world.token_effect[toks]
-        estimate = residual.mean(axis=0)
-        nearest = np.linalg.norm(world.speaker_base - estimate, axis=1).argmin()
-        hits += int(nearest) == int(sample.speaker)
-    return 100.0 * hits / len(samples)
+    frames, speakers, targets, tokens = _stack(world, samples, "speaker_id_accuracy")
+    means = _condition_means(world, np.arange(world.n_speakers)[None, :], targets[:, None],
+                             tokens[:, None])
+    residual = (frames[:, None] - means).mean(axis=2)
+    nearest = np.linalg.norm(residual, axis=-1).argmin(axis=1)
+    return 100.0 * int((nearest == speakers).sum()) / len(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +174,28 @@ def speaker_id_accuracy(world: World, samples: list[EvalSample]) -> float:
 def make_scripts(world: World, n_scripts: int, length: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed, 0x5C12])
     return rng.integers(0, world.vocab, size=(n_scripts, length))
+
+
+def sample_frames(model: Model, mode: str, tokens, styles, emotions, gamma: float,
+                  steps: int, seed, stochastic: bool,
+                  trajectory: list | None = None) -> np.ndarray:
+    """Frames (n, L, D) for tokens (n, L), styles (n, style_dim) and target
+    emotions (n,) under one sampling mode: none (the conditional sampler),
+    cfg or cg."""
+    if mode == "none":
+        e_cond = model.table.params["emb"].data[emotions]
+        mu = model.generator.generate(tokens, styles, e_cond)
+        return sample_reverse(model.scorenet, mu, styles, e_cond, model.schedule, steps,
+                              seed, stochastic=stochastic, trajectory=trajectory)
+    if mode == "cfg":
+        return sample_cfg(model.scorenet, model.generator, model.table, tokens, styles,
+                          emotions, model.schedule, steps, gamma, seed,
+                          stochastic=stochastic, trajectory=trajectory)
+    if mode == "cg":
+        return sample_cg(model.scorenet, model.noisy_clf, model.generator, model.table,
+                         tokens, styles, emotions, model.schedule, steps, gamma, seed,
+                         stochastic=stochastic, trajectory=trajectory)
+    raise EvalError(f"unknown sampling mode '{mode}'")
 
 
 def generate_eval_samples(model: Model, world: World, speakers, mode: str,
@@ -196,8 +211,6 @@ def generate_eval_samples(model: Model, world: World, speakers, mode: str,
     of the target speaker: the unseen-speaker path never reads emotional
     reference material.
     """
-    if mode not in ("none", "cfg", "cg"):
-        raise EvalError(f"unknown sampling mode '{mode}'")
     speakers = np.asarray(list(speakers), dtype=np.int64)
     scripts = make_scripts(world, n_scripts, script_len, seed)
     rng = np.random.default_rng([seed, 0xE7A1])
@@ -208,20 +221,8 @@ def generate_eval_samples(model: Model, world: World, speakers, mode: str,
     refs = sample_utterance_batch(world, spk, np.full(n_samples, NEUTRAL, dtype=np.int64),
                                   ref_tokens, rng)
     styles = model.encoder.encode(refs)
-    sampler_seed = rng.integers(0, 2 ** 63 - 1)
-    if mode == "none":
-        e_cond = model.table.params["emb"].data[targets]
-        mu = model.generator.generate(tokens, styles, e_cond)
-        frames = sample_reverse(model.scorenet, mu, styles, e_cond, model.schedule,
-                                steps, sampler_seed, stochastic=stochastic)
-    elif mode == "cfg":
-        frames = sample_cfg(model.scorenet, model.generator, model.table, tokens,
-                            styles, targets, model.schedule, steps, gamma,
-                            sampler_seed, stochastic=stochastic)
-    else:
-        frames = sample_cg(model.scorenet, model.noisy_clf, model.generator,
-                           model.table, tokens, styles, targets, model.schedule,
-                           steps, gamma, sampler_seed, stochastic=stochastic)
+    frames = sample_frames(model, mode, tokens, styles, targets, gamma, steps,
+                           rng.integers(0, 2 ** 63 - 1), stochastic)
     return [
         EvalSample(frames=frames[i], target_emotion=int(targets[i]),
                    speaker=int(spk[i]), tokens=tokens[i])
@@ -235,13 +236,12 @@ def _speaker_embeddings(world: World, samples: list[EvalSample],
     emotion offset, and the style vector."""
     secs_frame = []
     secs_style = []
-    ref_styles = styles
     for i, sample in enumerate(samples):
         emb_sample = sample.frames.mean(axis=0) - world.emotion_offset[sample.target_emotion]
         emb_ref = refs[i].mean(axis=0)
         secs_frame.append(secs_analog(emb_sample, emb_ref))
         style_sample = model.encoder.encode(sample.frames)
-        secs_style.append(secs_analog(style_sample, ref_styles[i]))
+        secs_style.append(secs_analog(style_sample, styles[i]))
     return float(np.mean(secs_frame)), float(np.mean(secs_style))
 
 

@@ -34,6 +34,7 @@ class StyleEncoder:
         return ad.symmetric_mean(h, axis=-2)
 
     def encode(self, frames) -> np.ndarray:
+        """Style vector of a reference; permutation-invariant over rows, pure."""
         arr = np.asarray(frames, dtype=np.float64)
         if arr.ndim not in (2, 3) or arr.shape[-1] != self.frame_dim:
             raise ValueError(f"expected (L, {self.frame_dim}) or (n, L, {self.frame_dim}) "
@@ -41,11 +42,6 @@ class StyleEncoder:
         if arr.shape[-2] == 0:
             raise ValueError("reference frames must be nonempty")
         return self.encode_t(Tensor(arr)).data
-
-
-def encode_style(encoder: StyleEncoder, ref_frames) -> np.ndarray:
-    """Style vector of a reference; permutation-invariant over rows, pure."""
-    return encoder.encode(ref_frames)
 
 
 class EmotionTable:
@@ -83,12 +79,8 @@ class EmotionTable:
         return ad.gather_rows(self.params["emb"], np.asarray(indices, dtype=np.int64))
 
     def embed(self, label) -> np.ndarray:
+        """Embedding row for an emotion id, or the null row for ``None``."""
         return self.params["emb"].data[self.row_index(label)].copy()
-
-
-def emotion_embed(table: EmotionTable, label) -> np.ndarray:
-    """Embedding row for an emotion id, or the null row for ``None``."""
-    return table.embed(label)
 
 
 class Generator:
@@ -143,9 +135,5 @@ class Generator:
         return ad.mlp_apply(self.params, "net", rows, self.n_layers)
 
     def generate(self, tokens, style, emotion_emb) -> np.ndarray:
+        """Prior mean mu, one row per token; deterministic and pure."""
         return self.generate_t(tokens, Tensor(style), Tensor(emotion_emb)).data
-
-
-def generate_mu(generator: Generator, tokens, style, emotion_emb) -> np.ndarray:
-    """Prior mean mu, one row per token; deterministic and pure."""
-    return generator.generate(tokens, style, emotion_emb)

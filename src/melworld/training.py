@@ -33,6 +33,7 @@ generator and the emotion table learn the null condition.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import softmax as np_softmax
@@ -51,42 +52,47 @@ class TrainingError(Exception):
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The ``[model]`` configuration section."""
+
     style_dim: int = 16
     emotion_dim: int = 8
     token_dim: int = 8
-    hidden: int = 64
-    n_hidden: int = 2
-    clf_hidden: int = 64
-    beta0: float = 0.05
-    beta1: float = 20.0
-    t_final: float = 1.0
-    t_min: float = 1e-3
-    seed: int = 0
+    hidden: int = 64  # MLP hidden width
+    n_hidden: int = 2  # MLP hidden layers
+    clf_hidden: int = 64  # noisy classifier hidden width
+    beta0: float = 0.05  # noise schedule start
+    beta1: float = 20.0  # noise schedule end
+    t_final: float = 1.0  # terminal diffusion time
+    t_min: float = 1e-3  # lower time cutoff
+    seed: int = 0  # parameter initialization seed
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    alpha: float = 1.0
-    p_null: float = 0.1
-    lr: float = 0.01
+    """The ``[train]`` configuration section."""
+
+    alpha: float = 1.0  # gradient reversal scale
+    p_null: float = 0.1  # null-embedding dropout probability
+    lr: float = 0.01  # SGD learning rate
     steps: int = 12000
-    batch_size: int = 16
-    w_recon: float = 1.0
-    w_dsm: float = 1.0
-    w_dat: float = 0.5
-    clip_norm: float = 5.0
-    utt_len: int = 8
-    seed: int = 0
+    batch_size: int = 16  # utterances per step
+    w_recon: float = 1.0  # reconstruction loss weight
+    w_dsm: float = 1.0  # score matching loss weight
+    w_dat: float = 0.5  # adversarial loss weight
+    clip_norm: float = 5.0  # global gradient clip
+    utt_len: int = 8  # training utterance length
     # extra probe-only updates per step: the reversal only disentangles when
     # the adversary tracks the moving representation closely
     dat_probe_steps: int = 15
     dat_probe_lr: float = 0.05
     # periodic probe reinitialization breaks the stale-direction limit cycle:
     # each fresh adversary hunts whatever emotion information currently leaks
+    # (0 = never)
     dat_probe_reinit: int = 1500
-    clf_steps: int = 3000
-    clf_lr: float = 0.05
-    clf_batch: int = 32
+    clf_steps: int = 3000  # noisy classifier steps
+    clf_lr: float = 0.05  # noisy classifier learning rate
+    clf_batch: int = 32  # noisy classifier batch size
+    seed: int = 0  # training seed
 
     def __post_init__(self):
         if not 0.0 <= self.p_null < 1.0:
@@ -182,6 +188,8 @@ class Model:
 
 
 def build_model(world: World, config: ModelConfig = ModelConfig()) -> Model:
+    """Fresh components for ``world``; only its ``frame_dim``, ``vocab`` and
+    ``n_emotions`` are read, so a checkpoint's stored dims serve as well."""
     seed = config.seed
     schedule = NoiseSchedule(config.beta0, config.beta1, config.t_final, config.t_min)
     return Model(
@@ -276,21 +284,11 @@ class Checkpoint:
         states, _seeds, meta = ckpt_io.load_stores(raw)
         mc = ModelConfig(**meta["model_config"])
         tc = TrainConfig(**meta["train_config"])
-        dims = meta["dims"]
-        shell = _DimShell(dims["frame_dim"], dims["vocab"], dims["n_emotions"])
-        model = build_model(shell, mc)
+        model = build_model(SimpleNamespace(**meta["dims"]), mc)
         for name, store in model.stores().items():
             store.load_state_dict(states[name])
         return cls(model=model, train_config=tc, world_hash=meta["world_hash"],
                    step=int(meta["step"]))
-
-
-@dataclass(frozen=True)
-class _DimShell:
-    # minimal stand-in for World when rebuilding a model from a checkpoint
-    frame_dim: int
-    vocab: int
-    n_emotions: int
 
 
 def _detach_rows(x: Tensor, mask: np.ndarray) -> Tensor:

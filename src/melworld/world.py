@@ -51,12 +51,14 @@ class WorldError(Exception):
 
 @dataclass(frozen=True)
 class WorldConfig:
-    frame_dim: int = 8
-    vocab: int = 10
+    """The ``[world]`` configuration section, apart from its seeds and split."""
+
+    frame_dim: int = 8  # frame dimensionality D
+    vocab: int = 10  # token vocabulary size
     n_speakers: int = 10
-    n_emotions: int = 4
-    tau: float = 0.3
-    max_len: int = 16
+    n_emotions: int = 4  # including Neutral
+    tau: float = 0.3  # per-frame noise scale
+    max_len: int = 16  # maximum utterance length
 
 
 @dataclass(frozen=True)
@@ -235,6 +237,7 @@ def _component_means(world: World, speakers, emotions, tokens, n_rows: int) -> n
     """
     speakers = [world.check_speaker(s) for s in speakers]
     emotions = [world.check_emotion(e) for e in emotions]
+    pairs = world.speaker_base[speakers][:, None, :] + world.emotion_offset[emotions][None, :, :]
     if tokens is not None:
         toks = world.check_tokens(tokens)
         if toks.size != n_rows:
@@ -242,49 +245,39 @@ def _component_means(world: World, speakers, emotions, tokens, n_rows: int) -> n
         tok_part = world.token_effect[toks]
     else:
         tok_part = np.zeros((n_rows, world.frame_dim))
-    means = [
-        (world.speaker_base[s] + world.emotion_offset[e])[None, :] + tok_part
-        for s in speakers for e in emotions
-    ]
-    return np.stack(means, axis=0)
+    return pairs.reshape(-1, 1, world.frame_dim) + tok_part
 
 
-def _as_batch(arr: np.ndarray, frame_dim: int) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 2:
-        return arr[None, :, :], True
-    if arr.ndim == 3:
-        return arr, False
-    raise WorldError(f"expected (L, {frame_dim}) or (n, L, {frame_dim}) array, "
-                     f"got shape {arr.shape}")
+def _mixture(world: World, speaker_prior, emotion, mu, y_t, t: float, schedule,
+             tokens) -> tuple[np.ndarray, bool, np.ndarray, np.ndarray, float]:
+    """The perturbed mixture over the uniform prior on speakers x emotions.
 
-
-def _mixture_terms(world: World, means: np.ndarray, mu: np.ndarray, y: np.ndarray,
-                   t: float, schedule) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-component perturbed means and joint log-likelihoods.
-
-    means: (C, L, D); mu, y: (n, L, D). Returns (m_t of shape (C, n, L, D),
-    loglik of shape (C, n), marginal variance v).
+    ``y_t`` is (L, D) or (n, L, D); ``emotion`` is one id or ``"all"``.
+    Returns (Y_t as an (n, L, D) batch, whether it was one utterance,
+    per-component perturbed means m_t of shape (C, n, L, D), joint
+    log-likelihoods of shape (C, n), marginal variance v).
     """
+    y = np.asarray(y_t, dtype=np.float64)
+    single = y.ndim == 2
+    if single:
+        y = y[None, :, :]
+    elif y.ndim != 3:
+        raise WorldError(f"expected (L, {world.frame_dim}) or (n, L, {world.frame_dim}) "
+                         f"array, got shape {y.shape}")
+    mu_b = np.broadcast_to(np.asarray(mu, dtype=np.float64), y.shape).astype(np.float64)
+    speakers = sorted(set(int(s) for s in speaker_prior))
+    if not speakers:
+        raise WorldError("speaker_prior must be nonempty")
+    emotions = range(world.n_emotions) if emotion == "all" else [emotion]
+    means = _component_means(world, speakers, emotions, tokens, y.shape[1])
     v = _marginal_variance(world, t, schedule)
     rho = schedule.rho(t)
-    m_t = mu[None] + (means[:, None, :, :] - mu[None]) * rho
+    m_t = mu_b[None] + (means[:, None, :, :] - mu_b[None]) * rho
     diff = y[None] - m_t
     n_dims = y.shape[1] * y.shape[2]
     loglik = -0.5 * (diff * diff).sum(axis=(2, 3)) / v \
         - 0.5 * n_dims * np.log(2.0 * np.pi * v)
-    return m_t, loglik, v
-
-
-def _resolve_mu(mu, y: np.ndarray) -> np.ndarray:
-    mu = np.asarray(mu, dtype=np.float64)
-    return np.broadcast_to(mu, y.shape).astype(np.float64)
-
-
-def _emotion_set(world: World, emotion) -> list[int]:
-    if emotion == "all":
-        return list(range(world.n_emotions))
-    return [world.check_emotion(emotion)]
+    return y, single, m_t, loglik, v
 
 
 def analytic_score(world: World, speaker_prior, emotion, mu, y_t, t: float,
@@ -295,13 +288,8 @@ def analytic_score(world: World, speaker_prior, emotion, mu, y_t, t: float,
     id or ``"all"``; components are their uniform-weight product. ``tokens``
     adds the per-row token effect to every component mean.
     """
-    y, single = _as_batch(y_t, world.frame_dim)
-    mu_b = _resolve_mu(mu, y)
-    speakers = sorted(set(int(s) for s in speaker_prior))
-    if not speakers:
-        raise WorldError("speaker_prior must be nonempty")
-    means = _component_means(world, speakers, _emotion_set(world, emotion), tokens, y.shape[1])
-    m_t, loglik, v = _mixture_terms(world, means, mu_b, y, t, schedule)
+    y, single, m_t, loglik, v = _mixture(world, speaker_prior, emotion, mu, y_t, t,
+                                         schedule, tokens)
     resp = softmax(loglik, axis=0)  # uniform weights cancel
     score = np.einsum("cn,cnld->nld", resp, -(y[None] - m_t)) / v
     return score[0] if single else score
@@ -310,13 +298,8 @@ def analytic_score(world: World, speaker_prior, emotion, mu, y_t, t: float,
 def analytic_log_density(world: World, speaker_prior, emotion, mu, y_t, t: float,
                          schedule, tokens=None) -> float | np.ndarray:
     """Log-density of the perturbed mixture (up to nothing; fully normalized)."""
-    y, single = _as_batch(y_t, world.frame_dim)
-    mu_b = _resolve_mu(mu, y)
-    speakers = sorted(set(int(s) for s in speaker_prior))
-    if not speakers:
-        raise WorldError("speaker_prior must be nonempty")
-    means = _component_means(world, speakers, _emotion_set(world, emotion), tokens, y.shape[1])
-    _, loglik, _ = _mixture_terms(world, means, mu_b, y, t, schedule)
+    _, single, _, loglik, _ = _mixture(world, speaker_prior, emotion, mu, y_t, t,
+                                       schedule, tokens)
     out = logsumexp(loglik, axis=0) - np.log(loglik.shape[0])
     return float(out[0]) if single else out
 
@@ -328,11 +311,7 @@ def analytic_emotion_posterior(world: World, speaker: int, mu, y_t, t: float,
     Rows are combined by summing per-row log-likelihoods (the emotion is
     drawn once per utterance). Shape (n_emotions,) or (n, n_emotions).
     """
-    y, single = _as_batch(y_t, world.frame_dim)
-    mu_b = _resolve_mu(mu, y)
-    means = _component_means(world, [speaker], list(range(world.n_emotions)),
-                             tokens, y.shape[1])
-    _, loglik, _ = _mixture_terms(world, means, mu_b, y, t, schedule)
+    _, single, _, loglik, _ = _mixture(world, [speaker], "all", mu, y_t, t, schedule, tokens)
     post = softmax(loglik, axis=0).T  # (n, K)
     return post[0] if single else post
 
@@ -363,16 +342,14 @@ class AnalyticNoisyClassifier:
 
     def grad_log_prob(self, y_t, t: float, target) -> np.ndarray:
         world = self.world
-        y, single = _as_batch(y_t, world.frame_dim)
-        mu_b = _resolve_mu(self.mu, y)
-        means = _component_means(world, [self.speaker], list(range(world.n_emotions)),
-                                 self.tokens, y.shape[1])
-        m_t, loglik, v = _mixture_terms(world, means, mu_b, y, t, self.schedule)
+        y, single, m_t, loglik, v = _mixture(world, [self.speaker], "all", self.mu, y_t, t,
+                                             self.schedule, self.tokens)
         post = softmax(loglik, axis=0)  # (K, n)
         cond_scores = -(y[None] - m_t) / v  # (K, n, L, D)
         target_arr = np.broadcast_to(np.asarray(target, dtype=np.int64), (y.shape[0],))
-        for e in target_arr:
-            world.check_emotion(int(e))
+        # every id is in range when both extremes are
+        world.check_emotion(int(target_arr.min()))
+        world.check_emotion(int(target_arr.max()))
         picked = cond_scores[target_arr, np.arange(y.shape[0])]
         avg = np.einsum("kn,knld->nld", post, cond_scores)
         grad = picked - avg

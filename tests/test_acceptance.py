@@ -164,10 +164,10 @@ def test_criterion_5_sampler_reductions(acc_world, dat_checkpoint):
     world, model = acc_world, dat_checkpoint.model
     tokens = np.array([1, 5, 2, 8])
     ref = mw.sample_utterance(world, 0, 0, [3, 4, 1], seed=1).frames
-    style = mw.encode_style(model.encoder, ref)
+    style = model.encoder.encode(ref)
 
     e_cond = model.table.embed(2)
-    mu_cond = mw.generate_mu(model.generator, tokens, style, e_cond)
+    mu_cond = model.generator.generate(tokens, style, e_cond)
     cfg0 = mw.sample_cfg(model.scorenet, model.generator, model.table, tokens,
                          style, 2, model.schedule, 50, 0.0, seed=3)
     cond = mw.sample_reverse(model.scorenet, mu_cond, style, e_cond,
@@ -175,7 +175,7 @@ def test_criterion_5_sampler_reductions(acc_world, dat_checkpoint):
     cfg_reduces = np.array_equal(cfg0, cond)
 
     e_null = model.table.embed(None)
-    mu_null = mw.generate_mu(model.generator, tokens, style, e_null)
+    mu_null = model.generator.generate(tokens, style, e_null)
     clf = AnalyticNoisyClassifier(world, 0, tokens, mu_null, model.schedule)
     cg0 = mw.sample_cg(model.scorenet, clf, model.generator, model.table, tokens,
                        style, 1, model.schedule, 50, 0.0, seed=4)

@@ -2,15 +2,21 @@
 reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import melworld as mw
+from melworld import cli
 from melworld import config as cfg
 from melworld.cli import main
-from melworld.config import ConfigError
+from melworld.config import ConfigError, mix_seed
 
 
 FAST_TRAIN = [
@@ -53,6 +59,69 @@ def test_config_overrides():
         cfg.resolve(None, ["nope.key=1"])
 
 
+_VALUES = {
+    "int": st.integers(-2 ** 40, 2 ** 40),
+    "float": st.floats(allow_nan=False),
+    "bool": st.booleans(),
+    # the string keys are the sampling mode and the speaker group
+    "str": st.sampled_from(["none", "cfg", "cg", "seen", "unseen"]),
+    "int_list": st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=5).map(tuple),
+    "float_list": st.lists(st.floats(allow_nan=False), max_size=5).map(tuple),
+}
+
+
+def _as_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.fixed_dictionaries({f"{section}.{key}": _VALUES[spec[0]]
+                              for section, keys in cfg.SCHEMA.items()
+                              for key, spec in keys.items()}))
+def test_every_override_survives_render_parse_resolve(values):
+    config = cfg.resolve(None, [f"{path}={_as_text(v)}" for path, v in values.items()])
+    for path, value in values.items():
+        section, key = path.split(".")
+        assert config[section][key] == value
+    assert cfg.resolve(cfg.parse_text(cfg.render(config))) == config
+
+
+def test_set_reaches_the_dataclasses_the_cli_builds(tmp_path, monkeypatch):
+    # every [world]/[model]/[train] key set with --set, each to a value off
+    # its default, must reach the object training receives
+    class Captured(Exception):
+        pass
+
+    built = {}
+
+    def capture(world, split, train_config, model_config, trace=None):
+        built.update(world=world, train=train_config, model=model_config)
+        raise Captured
+
+    monkeypatch.setattr(cli, "train_model", capture)
+    values = {"run.seed": 3, "world.seed": 8}
+    for section, cls in cfg.DATACLASSES.items():
+        for f in fields(cls):
+            bumped = f.default + 1 if isinstance(f.default, int) else f.default * 1.5
+            values[f"{section}.{f.name}"] = bumped
+    argv = ["train", "--outdir", str(tmp_path)]
+    for path, value in values.items():
+        argv += ["--set", f"{path}={value}"]
+    with pytest.raises(Captured):
+        main(argv)
+    for section, cls in cfg.DATACLASSES.items():
+        for f in fields(cls):
+            expected = values[f"{section}.{f.name}"]
+            if f.name == "seed":
+                expected = mix_seed(3, expected)
+            assert getattr(built[section], f.name) == expected, f"{section}.{f.name}"
+    assert built["world"].seed == mix_seed(3, 8)
+
+
 def test_config_hash_stable_and_sensitive():
     a = cfg.resolve()
     b = cfg.resolve(None, ["train.steps=1"])
@@ -93,7 +162,7 @@ def test_gen_data_writes_world(tmp_path):
 
 def test_verify_passes_on_fresh_install(tmp_path, capsys):
     assert main(["verify", "--outdir", str(tmp_path / "v"),
-                 "--set", "world.speakers=4"]) == 0
+                 "--set", "world.n_speakers=4"]) == 0
     out = capsys.readouterr().out
     assert "all oracle checks passed" in out
     assert out.count("[ok]") == 3
@@ -117,10 +186,12 @@ def test_train_artifacts(trained_run):
     assert len(tsv) == 1 + 40  # header + 10 per emotion * 4 emotions
 
 
-def test_sample_and_trajectory(trained_run, tmp_path):
+@pytest.mark.parametrize("mode", ["none", "cfg", "cg"])
+def test_sample_and_trajectory(trained_run, tmp_path, mode):
     out = tmp_path / "samples"
     code = main(["sample", "--checkpoint", str(trained_run / "checkpoint.bin"),
                  "--outdir", str(out), "--set", "sample.n=2",
+                 "--set", f"sample.mode={mode}", "--set", "sample.gamma=1.5",
                  "--set", "sample.trajectory=true", "--set", "sample.steps=5"])
     assert code == 0
     records = [json.loads(line) for line in
@@ -130,6 +201,32 @@ def test_sample_and_trajectory(trained_run, tmp_path):
     trajectory = [json.loads(line) for line in
                   (out / "trajectory_0.jsonl").read_text().strip().split("\n")]
     assert len(trajectory) == 5
+
+
+@pytest.mark.parametrize("command, setting, truncate", [
+    ("eval", "eval.mode=bogus", False),
+    ("eval", "eval.group=typo", False),
+    ("sweep", "eval.group=typo", False),
+    ("sample", "sample.emotion=9", False),
+    ("sample", "sample.n=1", True),
+], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint"])
+def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, setting,
+                                             truncate):
+    checkpoint = trained_run / "checkpoint.bin"
+    if truncate:
+        raw = checkpoint.read_bytes()
+        checkpoint = tmp_path / "truncated.bin"
+        checkpoint.write_bytes(raw[:len(raw) // 2])
+    src = str(Path(mw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "melworld.cli", command, "--checkpoint", str(checkpoint),
+         "--outdir", str(tmp_path / "out"), "--set", setting,
+         "--set", "eval.n_samples=4", "--set", "eval.steps=2"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
 
 
 def test_sweep_row_count_and_reproducibility(trained_run, tmp_path):

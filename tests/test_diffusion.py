@@ -8,7 +8,6 @@ from melworld import autodiff as ad
 from melworld.autodiff import Tensor
 from melworld.diffusion import (
     DiffusionError,
-    GuidanceConfig,
     dsm_loss_t,
     time_embedding,
 )
@@ -27,14 +26,6 @@ def test_schedule_invariants(schedule):
     assert schedule.rho(schedule.T) < 0.01
     with pytest.raises(DiffusionError):
         mw.NoiseSchedule(beta0=2.0, beta1=1.0)
-
-
-def test_guidance_config_validation():
-    GuidanceConfig(mode="classifier_free", gamma=1.5)
-    with pytest.raises(DiffusionError):
-        GuidanceConfig(mode="bogus")
-    with pytest.raises(DiffusionError):
-        GuidanceConfig(gamma=-1.0)
 
 
 def test_time_embedding_shape():
@@ -114,7 +105,7 @@ def test_estimate_score_identical_rows(schedule):
     mu = np.tile(np.array([[0.1, 0.1, -0.4, 0.0]]), (3, 1))
     s = np.zeros(16)
     e = np.zeros(8)
-    score = mw.estimate_score(net, y, 0.5, mu, s, e)
+    score = net(y, 0.5, mu, s, e)
     assert np.array_equal(score[0], score[1])
     assert np.array_equal(score[1], score[2])
 
@@ -124,7 +115,7 @@ def test_estimate_score_deterministic():
     rng = np.random.default_rng(4)
     args = (rng.standard_normal((2, 4)), 0.3, rng.standard_normal((2, 4)),
             rng.standard_normal(16), rng.standard_normal(8))
-    assert np.array_equal(mw.estimate_score(net, *args), mw.estimate_score(net, *args))
+    assert np.array_equal(net(*args), net(*args))
 
 
 def test_score_net_reduces_to_prior_score(schedule):
@@ -138,17 +129,16 @@ def test_score_net_reduces_to_prior_score(schedule):
     y, mu = rng.standard_normal((2, 3, 5, 4))
     s, e = rng.standard_normal((3, 16)), rng.standard_normal((3, 8))
     for t in (schedule.t_min, 0.1, 0.5, 1.0):
-        score = mw.estimate_score(net, y[0], t, mu[0], s[0], e[0])
+        score = net(y[0], t, mu[0], s[0], e[0])
         np.testing.assert_allclose(score, -(y[0] - mu[0]), rtol=1e-12, atol=0)
-    score = mw.estimate_score(net, y, np.array([0.01, 0.3, 0.9]), mu, s, e)
+    score = net(y, np.array([0.01, 0.3, 0.9]), mu, s, e)
     np.testing.assert_allclose(score, -(y - mu), rtol=1e-12, atol=0)
 
 
 def test_estimate_score_shape_mismatch():
     net = mw.ScoreNet(4, 16, 8, seed=0)
     with pytest.raises(DiffusionError):
-        mw.estimate_score(net, np.zeros((2, 4)), 0.3, np.zeros((3, 4)),
-                          np.zeros(16), np.zeros(8))
+        net(np.zeros((2, 4)), 0.3, np.zeros((3, 4)), np.zeros(16), np.zeros(8))
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +349,9 @@ def tiny_model():
 def test_cfg_gamma_zero_reduces_to_conditional(tiny_model, stochastic):
     world, model = tiny_model
     tokens = np.array([1, 5, 2])
-    s = mw.encode_style(model.encoder, mw.sample_utterance(world, 0, 0, [3, 4], seed=1).frames)
+    s = model.encoder.encode(mw.sample_utterance(world, 0, 0, [3, 4], seed=1).frames)
     e = model.table.embed(2)
-    mu = mw.generate_mu(model.generator, tokens, s, e)
+    mu = model.generator.generate(tokens, s, e)
     a = mw.sample_cfg(model.scorenet, model.generator, model.table, tokens, s, 2,
                       model.schedule, 20, 0.0, seed=3, stochastic=stochastic)
     b = mw.sample_reverse(model.scorenet, mu, s, e, model.schedule, 20, seed=3,
@@ -373,9 +363,9 @@ def test_cfg_gamma_zero_reduces_to_conditional(tiny_model, stochastic):
 def test_cg_gamma_zero_reduces_to_unconditional(tiny_model, stochastic):
     world, model = tiny_model
     tokens = np.array([1, 5, 2])
-    s = mw.encode_style(model.encoder, mw.sample_utterance(world, 0, 0, [3, 4], seed=1).frames)
+    s = model.encoder.encode(mw.sample_utterance(world, 0, 0, [3, 4], seed=1).frames)
     e_null = model.table.embed(None)
-    mu_null = mw.generate_mu(model.generator, tokens, s, e_null)
+    mu_null = model.generator.generate(tokens, s, e_null)
     clf = AnalyticNoisyClassifier(world, 0, tokens, mu_null, model.schedule)
     a = mw.sample_cg(model.scorenet, clf, model.generator, model.table, tokens, s, 1,
                      model.schedule, 20, 0.0, seed=4, stochastic=stochastic)

@@ -27,36 +27,35 @@ def generator():
 def test_encode_style_permutation_invariant_bitwise(encoder):
     rng = np.random.default_rng(0)
     frames = rng.standard_normal((7, 8))
-    base = mw.encode_style(encoder, frames)
+    base = encoder.encode(frames)
     for _ in range(5):
         shuffled = frames[rng.permutation(7)]
-        assert np.array_equal(mw.encode_style(encoder, shuffled), base)
+        assert np.array_equal(encoder.encode(shuffled), base)
 
 
 def test_encode_style_single_row_equals_frame_output(encoder):
     row = np.random.default_rng(1).standard_normal((1, 8))
-    pooled = mw.encode_style(encoder, row)
+    pooled = encoder.encode(row)
     direct = ad.mlp_apply(encoder.params, "net", Tensor(row), encoder.n_layers).data[0]
     assert np.array_equal(pooled, direct)
 
 
 def test_encode_style_rejects_empty(encoder):
     with pytest.raises(ValueError):
-        mw.encode_style(encoder, np.zeros((0, 8)))
+        encoder.encode(np.zeros((0, 8)))
 
 
 def test_untrained_encoder_separates_distant_speakers(encoder):
     world = mw.make_world(seed=7)
     ref_a = mw.sample_utterance(world, 0, 0, [1, 2, 3, 4], seed=0).frames
     ref_b = mw.sample_utterance(world, 1, 0, [1, 2, 3, 4], seed=0).frames
-    assert not np.array_equal(mw.encode_style(encoder, ref_a),
-                              mw.encode_style(encoder, ref_b))
+    assert not np.array_equal(encoder.encode(ref_a), encoder.encode(ref_b))
 
 
 def test_encoder_output_shape_independent_of_length(encoder):
     rng = np.random.default_rng(3)
     for length in (1, 4, 16):
-        s = mw.encode_style(encoder, rng.standard_normal((length, 8)))
+        s = encoder.encode(rng.standard_normal((length, 8)))
         assert s.shape == (16,)
 
 
@@ -65,25 +64,25 @@ def test_encoder_output_shape_independent_of_length(encoder):
 
 
 def test_null_sentinel_returns_null_row(table):
-    assert np.array_equal(mw.emotion_embed(table, None),
+    assert np.array_equal(table.embed(None),
                           table.params["emb"].data[table.null_index])
 
 
 def test_embed_deterministic(table):
-    assert np.array_equal(mw.emotion_embed(table, 2), mw.emotion_embed(table, 2))
+    assert np.array_equal(table.embed(2), table.embed(2))
 
 
 def test_embed_rejects_invalid_id(table):
     with pytest.raises(ValueError):
-        mw.emotion_embed(table, 4)
+        table.embed(4)
     with pytest.raises(ValueError):
-        mw.emotion_embed(table, -1)
+        table.embed(-1)
 
 
 def test_null_row_never_aliases_real_rows(table):
-    null_row = mw.emotion_embed(table, None)
+    null_row = table.embed(None)
     for e in range(4):
-        assert not np.array_equal(null_row, mw.emotion_embed(table, e))
+        assert not np.array_equal(null_row, table.embed(e))
 
 
 def test_gradient_step_touches_only_queried_rows(table):
@@ -105,7 +104,7 @@ def test_gradient_step_touches_only_queried_rows(table):
 
 def test_generate_mu_repeated_tokens_identical_rows(generator, table):
     s = np.random.default_rng(4).standard_normal(16)
-    mu = mw.generate_mu(generator, [3, 3, 3], s, table.embed(1))
+    mu = generator.generate([3, 3, 3], s, table.embed(1))
     assert np.array_equal(mu[0], mu[1])
     assert np.array_equal(mu[1], mu[2])
     assert mu.shape == (3, 8)
@@ -113,19 +112,19 @@ def test_generate_mu_repeated_tokens_identical_rows(generator, table):
 
 def test_generate_mu_deterministic(generator, table):
     s = np.random.default_rng(5).standard_normal(16)
-    a = mw.generate_mu(generator, [0, 9, 2], s, table.embed(2))
-    b = mw.generate_mu(generator, [0, 9, 2], s, table.embed(2))
+    a = generator.generate([0, 9, 2], s, table.embed(2))
+    b = generator.generate([0, 9, 2], s, table.embed(2))
     assert np.array_equal(a, b)
 
 
 def test_generate_mu_rejects_empty_tokens(generator, table):
     with pytest.raises(ValueError):
-        mw.generate_mu(generator, [], np.zeros(16), table.embed(0))
+        generator.generate([], np.zeros(16), table.embed(0))
 
 
 def test_generate_mu_rejects_bad_token(generator, table):
     with pytest.raises(ValueError):
-        mw.generate_mu(generator, [10], np.zeros(16), table.embed(0))
+        generator.generate([10], np.zeros(16), table.embed(0))
 
 
 def test_batch_matches_single(generator, table):
@@ -143,8 +142,8 @@ def test_emotion_changes_mu_but_not_style(generator, table):
     # the architectural seam: emotion conditioning enters after the encoder
     encoder = mw.StyleEncoder(8, seed=9)
     frames = np.random.default_rng(7).standard_normal((5, 8))
-    s = mw.encode_style(encoder, frames)
-    mu_a = mw.generate_mu(generator, [1, 2], s, table.embed(1))
-    mu_b = mw.generate_mu(generator, [1, 2], s, table.embed(2))
+    s = encoder.encode(frames)
+    mu_a = generator.generate([1, 2], s, table.embed(1))
+    mu_b = generator.generate([1, 2], s, table.embed(2))
     assert not np.array_equal(mu_a, mu_b)
-    assert np.array_equal(s, mw.encode_style(encoder, frames))
+    assert np.array_equal(s, encoder.encode(frames))

@@ -273,6 +273,20 @@ def test_analytic_classifier_posterior_matches(world, schedule):
     assert np.allclose(clf.posterior(y, 0.4), direct, atol=0)
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_analytic_classifier_rejects_one_bad_target_in_batch(world, schedule, bad):
+    rng = np.random.default_rng(22)
+    tokens = rng.integers(0, world.vocab, size=2)
+    mu = rng.standard_normal((2, world.frame_dim))
+    y = rng.standard_normal((5, 2, world.frame_dim))
+    clf = AnalyticNoisyClassifier(world, 3, tokens, mu, schedule)
+    targets = np.array([0, 1, 2, 3, 1])
+    assert clf.grad_log_prob(y, 0.4, targets).shape == y.shape
+    targets[2] = bad
+    with pytest.raises(WorldError, match=f"emotion id {bad} out of range"):
+        clf.grad_log_prob(y, 0.4, targets)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
