@@ -178,14 +178,17 @@ def cmd_train_clf(args) -> int:
 
 def cmd_sample(args) -> int:
     config = _load_config(args)
+    s = config["sample"]
+    if s["n"] < 1:
+        raise ConfigError(f"sample.n must be >= 1, got {s['n']}")
     run_dir = _run_dir(config, args)
     ckpt, world = _checkpoint_and_world(config, args)
-    s = config["sample"]
     emotion = world.check_emotion(s["emotion"])
     seed = mix_seed(config["run"]["seed"], s["seed"])
     rng = np.random.default_rng([seed, 0x5A11])
-    tokens = np.asarray(s["tokens"], dtype=np.int64)
-    if tokens.size == 0:
+    if s["tokens"]:
+        tokens = world.check_tokens(s["tokens"])
+    else:
         tokens = rng.integers(0, world.vocab, size=config["eval"]["script_len"])
     model = ckpt.model
     records = []

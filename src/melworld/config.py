@@ -125,10 +125,16 @@ def _parse_value(section: str, key: str, raw: str, where: str):
         raise ConfigError(f"{where}unknown key '{key}' in section [{section}]")
     kind = SCHEMA[section][key][0]
     try:
-        return _PARSERS[kind](raw)
+        value = _PARSERS[kind](raw)
     except ValueError as exc:
         raise ConfigError(f"{where}bad {kind} value for {section}.{key}: "
                           f"{raw.strip()!r} ({exc})") from exc
+    # a rendered line must parse back to the same value; only an override
+    # can carry these characters this far
+    if kind == "str" and ("#" in value or len(value.splitlines()) > 1):
+        raise ConfigError(f"{where}{section}.{key} cannot hold a '#' or a line break: "
+                          f"{value!r}")
+    return value
 
 
 def parse_text(text: str) -> dict[str, dict]:

@@ -268,16 +268,18 @@ def guided_score_cg(score_uncond, noisy_clf, y_t, t: float, target_e, gamma: flo
     """Classifier guidance: score + gamma * grad log p(target | Y_t).
 
     The classifier gradient comes from backpropagation through the
-    classifier input; at gamma=0 the unconditional score is returned
-    untouched (bitwise).
+    classifier input, and the posterior that is checked for validity comes
+    from the same forward pass; at gamma=0 the unconditional score is
+    returned untouched (bitwise).
     """
     if gamma < 0:
         raise DiffusionError(f"gamma must be >= 0, got {gamma}")
     score_uncond = np.asarray(score_uncond, dtype=np.float64)
-    _check_posterior(noisy_clf.posterior(y_t, t))
     if gamma == 0.0:
+        _check_posterior(noisy_clf.posterior(y_t, t))
         return score_uncond
-    grad = noisy_clf.grad_log_prob(y_t, t, target_e)
+    grad, probs = noisy_clf.grad_log_prob(y_t, t, target_e)
+    _check_posterior(probs)
     if grad.shape != score_uncond.shape:
         raise DiffusionError(f"classifier gradient shape {grad.shape} does not match "
                              f"score shape {score_uncond.shape}")

@@ -81,8 +81,9 @@ class TrainConfig:
     w_dat: float = 0.5  # adversarial loss weight
     clip_norm: float = 5.0  # global gradient clip
     utt_len: int = 8  # training utterance length
-    # extra probe-only updates per step: the reversal only disentangles when
-    # the adversary tracks the moving representation closely
+    # extra probe-only updates per step on the post-update style, encoded
+    # once per step: the reversal only disentangles when the adversary tracks
+    # the moving representation closely (skipped when w_dat = 0)
     dat_probe_steps: int = 15
     dat_probe_lr: float = 0.05
     # periodic probe reinitialization breaks the stale-direction limit cycle:
@@ -101,6 +102,11 @@ class TrainConfig:
             raise TrainingError(f"alpha must be positive, got {self.alpha}")
         if min(self.w_recon, self.w_dsm, self.w_dat) < 0:
             raise TrainingError("loss weights must be nonnegative")
+        if min(self.batch_size, self.clf_batch, self.utt_len) < 1:
+            raise TrainingError("batch_size, clf_batch and utt_len must be >= 1")
+        if min(self.steps, self.clf_steps, self.dat_probe_steps, self.dat_probe_reinit) < 0:
+            raise TrainingError("steps, clf_steps, dat_probe_steps and dat_probe_reinit "
+                                "must be nonnegative")
 
 
 class EmotionProbeHead:
@@ -136,28 +142,34 @@ class NoisyClassifier:
         self.params = ParamStore(seed, "noisy_clf")
         ad.mlp_init(self.params, "net", [frame_dim + 5] + [hidden] * n_hidden + [n_emotions])
 
-    def logits_t(self, y_t: Tensor, t) -> Tensor:
+    def logits_t(self, y_t: Tensor, t, frozen: bool = False) -> Tensor:
+        """Logits of p(e | Y_t); ``frozen`` takes the parameters as constants,
+        so a backward pass reaches the input only."""
         pooled = ad.tmean(y_t, axis=-2)
         temb = time_embedding(t)
         if pooled.data.ndim == 2:
             temb = np.broadcast_to(temb, (pooled.data.shape[0], 5)).copy()
         x = ad.concat([pooled, Tensor(temb)], axis=-1)
-        return ad.mlp_apply(self.params, "net", x, self.n_layers)
+        params = ({name: p.data for name, p in self.params.tensors().items()}
+                  if frozen else self.params)
+        return ad.mlp_apply(params, "net", x, self.n_layers)
 
     def posterior(self, y_t, t) -> np.ndarray:
         return np_softmax(self.logits_t(Tensor(y_t), t).data, axis=-1)
 
-    def grad_log_prob(self, y_t, t, target) -> np.ndarray:
-        """Gradient of log p(target | Y_t) with respect to Y_t."""
+    def grad_log_prob(self, y_t, t, target) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of log p(target | Y_t) with respect to Y_t, and the
+        posterior p(. | Y_t), from one forward pass; no gradient reaches the
+        classifier's parameters."""
         leaf = Tensor(y_t, requires_grad=True)
-        logits = self.logits_t(leaf, t)
+        logits = self.logits_t(leaf, t, frozen=True)
         labels = np.asarray(target, dtype=np.int64)
         if logits.data.ndim == 1:
             labels = labels.reshape(())
         n = max(int(np.prod(logits.data.shape[:-1])), 1)
         loss = ad.softmax_cross_entropy(logits, labels)
         loss.backward()
-        return -n * leaf.grad
+        return -n * leaf.grad, np_softmax(logits.data, axis=-1)
 
 
 @dataclass
@@ -297,6 +309,21 @@ def _detach_rows(x: Tensor, mask: np.ndarray) -> Tensor:
     return ad.add(ad.mul(x, keep), Tensor(x.data * (1.0 - keep)))
 
 
+def _probe_updates(probe: EmotionProbeHead, style: np.ndarray, labels,
+                   steps: int, lr: float) -> None:
+    """``steps`` plain descent updates of the probe alone on a fixed style.
+
+    The style is a constant: only the probe moves between updates, so the
+    encoder is neither re-run nor reached by a backward pass.
+    """
+    style_t = Tensor(style)
+    for _ in range(steps):
+        loss = ad.softmax_cross_entropy(probe.logits_t(style_t), labels)
+        probe.params.zero_grad()
+        loss.backward()
+        sgd_update([probe.params], lr)
+
+
 def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainConfig(),
                 model_config: ModelConfig = ModelConfig(),
                 trace: list | None = None) -> Checkpoint:
@@ -313,6 +340,12 @@ def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainCo
     dsm terms treat mu and s as constants, and null rows pass s to the
     generator as a constant (see the module docstring), so the encoder
     learns from reconstruction of labelled rows and from L_e only.
+
+    After the joint update the probe alone takes ``dat_probe_steps`` more
+    updates on the post-update style, which is encoded once per step and
+    held constant: only the probe changes between them. At w_dat = 0 nothing
+    reads the adversary, so these updates do not run; L_e is still computed
+    and logged, with no effect on any other store.
     """
     if not split.seen:
         raise TrainingError("split has no seen speakers")
@@ -358,14 +391,9 @@ def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainCo
         except GraphError as exc:
             raise TrainingError(f"divergence at step {i}: {exc}") from exc
         grad_norm = sgd_update(stores, config.lr, config.clip_norm)
-        for _ in range(config.dat_probe_steps):
-            fresh_style = model.encoder.encode_t(Tensor(frames))
-            probe_loss = ad.softmax_cross_entropy(
-                model.probe.logits_t(fresh_style), emotions)
-            model.probe.params.zero_grad()
-            probe_loss.backward()
-            model.encoder.params.zero_grad()
-            sgd_update([model.probe.params], config.dat_probe_lr)
+        if config.w_dat > 0 and config.dat_probe_steps:
+            _probe_updates(model.probe, model.encoder.encode(frames), emotions,
+                           config.dat_probe_steps, config.dat_probe_lr)
         if trace is not None:
             trace.append({
                 "step": i,

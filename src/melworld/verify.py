@@ -123,7 +123,7 @@ def run_bayes_identity(world: World, schedule, n_trials: int = 20,
                               tokens=tokens)
         marginal = analytic_score(world, [speaker], "all", mu, y, t, schedule,
                                   tokens=tokens)
-        grad_post = clf.grad_log_prob(y, t, emotion)
+        grad_post, _ = clf.grad_log_prob(y, t, emotion)
         worst = max(worst, float(np.abs(cond - marginal - grad_post).max()))
     return CheckResult("Bayes identity (conditional - marginal = posterior grad)",
                        worst, 1e-8)

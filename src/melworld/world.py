@@ -320,8 +320,9 @@ class AnalyticNoisyClassifier:
     """Oracle p(e | Y_t) for fixed (speaker, tokens, mu).
 
     Provides the same interface as the trained noisy classifier:
-    ``posterior`` and the gradient of the target log-posterior with respect
-    to the noisy frames. The gradient uses the identity
+    ``posterior``, and ``grad_log_prob``, the gradient of the target
+    log-posterior with respect to the noisy frames together with the
+    posterior it was computed from. The gradient uses the identity
 
         grad log p(e|y) = score_cond(e) - sum_e' p(e'|y) * score_cond(e')
 
@@ -340,7 +341,7 @@ class AnalyticNoisyClassifier:
         return analytic_emotion_posterior(self.world, self.speaker, self.mu, y_t,
                                           t, self.schedule, tokens=self.tokens)
 
-    def grad_log_prob(self, y_t, t: float, target) -> np.ndarray:
+    def grad_log_prob(self, y_t, t: float, target) -> tuple[np.ndarray, np.ndarray]:
         world = self.world
         y, single, m_t, loglik, v = _mixture(world, [self.speaker], "all", self.mu, y_t, t,
                                              self.schedule, self.tokens)
@@ -353,7 +354,7 @@ class AnalyticNoisyClassifier:
         picked = cond_scores[target_arr, np.arange(y.shape[0])]
         avg = np.einsum("kn,knld->nld", post, cond_scores)
         grad = picked - avg
-        return grad[0] if single else grad
+        return (grad[0], post[:, 0]) if single else (grad, post.T)
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,12 @@ _VALUES = {
     "int": st.integers(-2 ** 40, 2 ** 40),
     "float": st.floats(allow_nan=False),
     "bool": st.booleans(),
-    # the string keys are the sampling mode and the speaker group
-    "str": st.sampled_from(["none", "cfg", "cg", "seen", "unseen"]),
+    # the string keys are the sampling mode and the speaker group; beyond
+    # their valid names, any text without a comment sign or a line break
+    # (control and line-separator characters) survives as well
+    "str": st.sampled_from(["none", "cfg", "cg", "seen", "unseen"])
+    | st.text(st.characters(blacklist_characters="#",
+                            blacklist_categories=("Cc", "Cs", "Zl", "Zp"))).map(str.strip),
     "int_list": st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=5).map(tuple),
     "float_list": st.lists(st.floats(allow_nan=False), max_size=5).map(tuple),
 }
@@ -87,6 +91,26 @@ def test_every_override_survives_render_parse_resolve(values):
     for path, value in values.items():
         section, key = path.split(".")
         assert config[section][key] == value
+    assert cfg.resolve(cfg.parse_text(cfg.render(config))) == config
+
+
+@pytest.mark.parametrize("text", ["a#b", "#", "a\nb", "a\rb", "a\u2028b", "a\x85b"])
+def test_override_rejects_a_string_the_file_cannot_hold(text):
+    # '#' starts a comment and a line break ends the line, so the rendered
+    # config.resolved would re-parse to another value
+    with pytest.raises(ConfigError, match="sample.mode cannot hold"):
+        cfg.resolve(None, [f"sample.mode={text}"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_a_string_override_round_trips_or_is_rejected(text):
+    try:
+        config = cfg.resolve(None, [f"sample.mode={text}"])
+    except ConfigError:
+        assert "#" in text or len(text.strip().splitlines()) > 1
+        return
+    assert config["sample"]["mode"] == text.strip()
     assert cfg.resolve(cfg.parse_text(cfg.render(config))) == config
 
 
@@ -209,7 +233,12 @@ def test_sample_and_trajectory(trained_run, tmp_path, mode):
     ("sweep", "eval.group=typo", False),
     ("sample", "sample.emotion=9", False),
     ("sample", "sample.n=1", True),
-], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint"])
+    ("sample", "sample.tokens=1,99", False),
+    ("sample", "sample.n=-1", False),
+    ("sample", "sample.mode=a#b", False),
+    ("train", "train.batch_size=0", False),
+], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint",
+        "sample-tokens", "sample-n", "sample-mode-comment", "train-batch-size"])
 def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, setting,
                                              truncate):
     checkpoint = trained_run / "checkpoint.bin"
@@ -217,10 +246,11 @@ def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, set
         raw = checkpoint.read_bytes()
         checkpoint = tmp_path / "truncated.bin"
         checkpoint.write_bytes(raw[:len(raw) // 2])
+    checkpoint_args = [] if command == "train" else ["--checkpoint", str(checkpoint)]
     src = str(Path(mw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "melworld.cli", command, "--checkpoint", str(checkpoint),
+        [sys.executable, "-m", "melworld.cli", command, *checkpoint_args,
          "--outdir", str(tmp_path / "out"), "--set", setting,
          "--set", "eval.n_samples=4", "--set", "eval.steps=2"],
         capture_output=True, text=True, env=env, timeout=300)

@@ -315,7 +315,7 @@ def test_guided_score_cg_uniform_classifier_noop(schedule):
             return np.full(4, 0.25)
 
         def grad_log_prob(self, y, t, target):
-            return np.zeros(np.asarray(y).shape)
+            return np.zeros(np.asarray(y).shape), self.posterior(y, t)
 
     score = np.random.default_rng(6).standard_normal((2, 4))
     out = mw.guided_score_cg(score, Uniform(), np.zeros((2, 4)), 0.3, 1, 2.0)
@@ -328,7 +328,7 @@ def test_guided_score_cg_rejects_invalid_distribution(schedule):
             return np.array([0.9, 0.9, 0.1, 0.1])
 
         def grad_log_prob(self, y, t, target):
-            return np.zeros(np.asarray(y).shape)
+            return np.zeros(np.asarray(y).shape), self.posterior(y, t)
 
     with pytest.raises(DiffusionError, match="distribution"):
         mw.guided_score_cg(np.zeros((1, 4)), Broken(), np.zeros((1, 4)), 0.3, 1, 1.0)

@@ -6,9 +6,12 @@ import pytest
 import melworld as mw
 from melworld import autodiff as ad
 from melworld.autodiff import Tensor
+from melworld.metrics import generate_eval_samples
+from melworld.stylegen import StyleEncoder
 from melworld.training import (
     EmotionProbeHead,
     TrainingError,
+    _probe_updates,
     dat_step,
     noisy_classifier_accuracy,
     sgd_update,
@@ -193,6 +196,63 @@ def test_null_rows_leave_encoder_untouched(world, split):
                               init.generator.params["net.w0"].data)
 
 
+def test_probe_updates_match_reencoding_every_update(world):
+    # the probe-only updates on a style encoded once equal the updates that
+    # re-encode the frames every time, and leave the encoder untouched
+    encoder = StyleEncoder(world.frame_dim, seed=1)
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, world.n_emotions, size=8)
+    frames = sample_utterance_batch(world, rng.integers(0, 6, size=8), labels,
+                                    rng.integers(0, world.vocab, size=(8, 4)), rng)
+    encoder_before = encoder.params.state_dict()
+    hoisted = EmotionProbeHead(16, world.n_emotions, seed=2)
+    _probe_updates(hoisted, encoder.encode(frames), labels, 5, 0.05)
+    for name, tensor in encoder.params.tensors().items():
+        assert np.array_equal(tensor.data, encoder_before[name])
+        assert tensor.grad is None
+    reencoded = EmotionProbeHead(16, world.n_emotions, seed=2)
+    for _ in range(5):
+        style = encoder.encode_t(Tensor(frames))
+        loss = ad.softmax_cross_entropy(reencoded.logits_t(style), labels)
+        reencoded.params.zero_grad()
+        loss.backward()
+        encoder.params.zero_grad()
+        sgd_update([reencoded.params], 0.05)
+    for name, tensor in hoisted.params.tensors().items():
+        assert np.array_equal(tensor.data, reencoded.params[name].data)
+    assert not np.array_equal(hoisted.params["net.w0"].data,
+                              EmotionProbeHead(16, world.n_emotions, seed=2).params["net.w0"].data)
+
+
+def test_no_dat_trains_no_adversary(world, split):
+    # at w_dat = 0 nothing reads the probe, so the probe-only updates do not
+    # run: their count leaves every store bitwise unchanged
+    none = mw.train_model(world, split, small_config(steps=12, w_dat=0.0, dat_probe_steps=0,
+                                                     dat_probe_reinit=5))
+    three = mw.train_model(world, split, small_config(steps=12, w_dat=0.0, dat_probe_steps=3,
+                                                      dat_probe_reinit=5))
+    a, b = none.model.stores(), three.model.stores()
+    assert len(a) == 6
+    for name, store in a.items():
+        other = b[name].state_dict()
+        for pname, value in store.state_dict().items():
+            assert np.array_equal(value, other[pname]), f"{name}.{pname}"
+
+
+@pytest.mark.parametrize("w_dat, per_step", [(0.5, 2), (0.0, 1)])
+def test_style_encoded_at_most_twice_per_step(world, split, monkeypatch, w_dat, per_step):
+    calls = []
+    encode_t = StyleEncoder.encode_t
+
+    def counting(self, frames):
+        calls.append(1)
+        return encode_t(self, frames)
+
+    monkeypatch.setattr(StyleEncoder, "encode_t", counting)
+    mw.train_model(world, split, small_config(steps=4, w_dat=w_dat, dat_probe_steps=5))
+    assert len(calls) <= per_step * 4
+
+
 def test_config_validation():
     with pytest.raises(TrainingError):
         mw.TrainConfig(p_null=1.0)
@@ -200,6 +260,12 @@ def test_config_validation():
         mw.TrainConfig(alpha=0.0)
     with pytest.raises(TrainingError):
         mw.TrainConfig(w_dat=-0.1)
+    for field in ("batch_size", "clf_batch", "utt_len"):
+        with pytest.raises(TrainingError, match=field):
+            mw.TrainConfig(**{field: 0})
+    for field in ("steps", "clf_steps", "dat_probe_steps", "dat_probe_reinit"):
+        with pytest.raises(TrainingError, match=field):
+            mw.TrainConfig(**{field: -1})
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +311,7 @@ def test_noisy_classifier_grad_matches_finite_differences(world, clf_setup):
     rng = np.random.default_rng(5)
     y = rng.standard_normal((4, world.frame_dim))
     t = 0.4
-    grad = clf.grad_log_prob(y, t, 2)
+    grad, _ = clf.grad_log_prob(y, t, 2)
     eps = 1e-6
     num = np.zeros_like(y)
     for idx in np.ndindex(y.shape):
@@ -254,3 +320,21 @@ def test_noisy_classifier_grad_matches_finite_differences(world, clf_setup):
         ym[idx] -= eps
         num[idx] = (np.log(clf.posterior(yp, t)[2]) - np.log(clf.posterior(ym, t)[2])) / (2 * eps)
     assert np.abs(grad - num).max() < 1e-6
+
+
+def test_classifier_guidance_leaves_classifier_parameters_alone(world, split, clf_setup):
+    # the CG step needs the gradient with respect to the frames only; it
+    # equals the one taken with the parameters in the graph, bit for bit
+    clf = clf_setup.noisy_clf
+    clf.params.zero_grad()
+    generate_eval_samples(clf_setup, world, split.unseen, "cg", 5.0, 8, seed=3, steps=4)
+    for name, tensor in clf.params.tensors().items():
+        assert tensor.grad is None, name
+    y = np.random.default_rng(6).standard_normal((3, 4, world.frame_dim))
+    t = np.full(3, 0.4)
+    leaf = Tensor(y, requires_grad=True)
+    ad.softmax_cross_entropy(clf.logits_t(leaf, t), np.array([0, 2, 3])).backward()
+    clf.params.zero_grad()
+    grad, post = clf.grad_log_prob(y, t, [0, 2, 3])
+    assert np.array_equal(grad, -3 * leaf.grad)
+    assert np.array_equal(post, clf.posterior(y, t))

@@ -259,7 +259,7 @@ def test_bayes_identity(world, schedule):
                                  tokens=tokens)
         marginal = mw.analytic_score(world, [speaker], "all", mu, y, t, schedule,
                                      tokens=tokens)
-        grad_post = clf.grad_log_prob(y, t, emotion)
+        grad_post, _ = clf.grad_log_prob(y, t, emotion)
         assert np.abs(cond - marginal - grad_post).max() < 1e-8
 
 
@@ -271,6 +271,8 @@ def test_analytic_classifier_posterior_matches(world, schedule):
     clf = AnalyticNoisyClassifier(world, 3, tokens, mu, schedule)
     direct = mw.analytic_emotion_posterior(world, 3, mu, y, 0.4, schedule, tokens=tokens)
     assert np.allclose(clf.posterior(y, 0.4), direct, atol=0)
+    # the gradient's posterior is the one guided_score_cg checks
+    assert np.array_equal(clf.grad_log_prob(y, 0.4, 1)[1], direct)
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -281,7 +283,7 @@ def test_analytic_classifier_rejects_one_bad_target_in_batch(world, schedule, ba
     y = rng.standard_normal((5, 2, world.frame_dim))
     clf = AnalyticNoisyClassifier(world, 3, tokens, mu, schedule)
     targets = np.array([0, 1, 2, 3, 1])
-    assert clf.grad_log_prob(y, 0.4, targets).shape == y.shape
+    assert clf.grad_log_prob(y, 0.4, targets)[0].shape == y.shape
     targets[2] = bad
     with pytest.raises(WorldError, match=f"emotion id {bad} out of range"):
         clf.grad_log_prob(y, 0.4, targets)
