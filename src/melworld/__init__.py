@@ -15,7 +15,6 @@ from .diffusion import (
     NoiseSchedule,
     ScoreNet,
     combine_cfg,
-    dsm_loss,
     guided_score_cg,
     perturb,
     sample_cfg,
@@ -43,7 +42,6 @@ from .training import (
     TrainConfig,
     TrainingError,
     build_model,
-    dat_step,
     train_model,
     train_noisy_classifier,
 )
@@ -51,7 +49,6 @@ from .world import (
     NEUTRAL,
     AnalyticNoisyClassifier,
     SpeakerSplit,
-    Utterance,
     World,
     WorldConfig,
     WorldError,
@@ -61,7 +58,6 @@ from .world import (
     dump_world,
     load_world,
     make_world,
-    sample_utterance,
     split_speakers,
     utterance_mean,
     world_hash,

@@ -30,12 +30,13 @@ from .diffusion import NoiseSchedule
 from .metrics import EvalError
 from .training import Checkpoint, TrainingError, train_model, train_noisy_classifier
 from .world import (
+    NEUTRAL,
     World,
     WorldError,
     dump_world,
     load_world,
     make_world,
-    sample_utterance,
+    sample_utterance_batch,
     split_speakers,
     world_hash,
 )
@@ -183,6 +184,7 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"sample.n must be >= 1, got {s['n']}")
     run_dir = _run_dir(config, args)
     ckpt, world = _checkpoint_and_world(config, args)
+    speaker = world.check_speaker(s["speaker"])
     emotion = world.check_emotion(s["emotion"])
     seed = mix_seed(config["run"]["seed"], s["seed"])
     rng = np.random.default_rng([seed, 0x5A11])
@@ -194,12 +196,11 @@ def cmd_sample(args) -> int:
     records = []
     p_null_never_trained = ckpt.train_config.p_null == 0.0 and s["mode"] != "none"
     for i in range(s["n"]):
-        ref = sample_utterance(world, s["speaker"], 0,
-                               rng.integers(0, world.vocab, size=tokens.size),
-                               rng)
-        style = model.encoder.encode(ref.frames)
+        ref = sample_utterance_batch(world, [speaker], [NEUTRAL],
+                                     rng.integers(0, world.vocab, size=(1, tokens.size)), rng)
+        style = model.encoder.encode(ref)
         trajectory: list | None = [] if s["trajectory"] else None
-        frames = mx.sample_frames(model, s["mode"], tokens[None], style[None],
+        frames = mx.sample_frames(model, s["mode"], tokens[None], style,
                                   np.array([emotion]), s["gamma"], s["steps"],
                                   rng.integers(0, 2 ** 63 - 1), s["stochastic"],
                                   trajectory)[0]

@@ -82,18 +82,23 @@ def _rng(seed):
     return seed if hasattr(seed, "standard_normal") else np.random.default_rng(seed)
 
 
-def perturb(y0, mu, t: float, schedule: NoiseSchedule, noise_seed):
-    """Forward kernel draw; returns (Y_t, conditional score of Y_t given Y_0).
+def perturb(y0, mu, t, schedule: NoiseSchedule, noise_seed):
+    """Forward kernel draw for a batch y0 (n, L, D) with one t per row;
+    returns (Y_t, conditional score of Y_t given Y_0).
 
     The target score is -z / sqrt(var(t)), the quantity denoising score
     matching regresses on.
     """
-    if not 0 < t <= schedule.T:
-        raise DiffusionError(f"t must be in (0, {schedule.T}], got {t}")
     y0 = np.asarray(y0, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if y0.ndim != 3 or t.shape != y0.shape[:1]:
+        raise DiffusionError(f"expected y0 (n, L, D) and t (n,), got shapes {y0.shape} "
+                             f"and {t.shape}")
+    if np.any(t <= 0) or np.any(t > schedule.T):
+        raise DiffusionError(f"t must be in (0, {schedule.T}], got {t}")
     mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), y0.shape)
-    rho = float(schedule.rho(t))
-    sd = float(np.sqrt(schedule.var(t)))
+    rho = schedule.rho(t)[:, None, None]
+    sd = np.sqrt(schedule.var(t))[:, None, None]
     z = _rng(noise_seed).standard_normal(y0.shape)
     y_t = mu + (y0 - mu) * rho + sd * z
     return y_t, -z / sd
@@ -140,55 +145,45 @@ class ScoreNet:
         self.params.add("skip.w1", (_SKIP_HIDDEN, 1), init="zeros")
         self.params.add("skip.b1", (1,), init="zeros")
 
-    def _cond_rows(self, n: int, length: int, t, s: Tensor, e: Tensor,
-                   batched: bool) -> list[Tensor]:
-        temb = time_embedding(t)
-        if batched:
-            if temb.ndim == 1:
-                temb = np.broadcast_to(temb, (n, length, 5))
-            else:
-                temb = np.broadcast_to(temb[:, None, :], (n, length, 5))
-            s_rows = ad.broadcast_to(ad.reshape(s, (n, 1, self.style_dim)),
-                                     (n, length, self.style_dim))
-            e_rows = ad.broadcast_to(ad.reshape(e, (n, 1, self.emotion_dim)),
-                                     (n, length, self.emotion_dim))
-        else:
-            temb = np.broadcast_to(temb, (length, 5))
-            s_rows = ad.broadcast_to(ad.reshape(s, (1, self.style_dim)),
-                                     (length, self.style_dim))
-            e_rows = ad.broadcast_to(ad.reshape(e, (1, self.emotion_dim)),
-                                     (length, self.emotion_dim))
-        return [Tensor(temb.copy()), s_rows, e_rows]
-
-    def _skip_coeff(self, t, batched: bool) -> Tensor:
-        """g(t) - sd(t), computed once per distinct t (never per row, so
-        identical rows stay bitwise identical)."""
+    def _skip_coeff(self, t) -> Tensor:
+        """g(t) - sd(t) as an (n or 1, 1, 1) column, computed once per
+        distinct t (never per row, so identical rows stay bitwise identical)."""
         temb = np.atleast_2d(time_embedding(t))
         sd = np.sqrt(self.schedule.var(t)).reshape(-1, 1)
         coeff = ad.sub(ad.mlp_apply(self.params, "skip", Tensor(temb), 2), Tensor(sd))
-        return ad.reshape(coeff, (-1, 1, 1)) if batched else coeff
+        return ad.reshape(coeff, (-1, 1, 1))
 
-    def noise_t(self, y_t: Tensor, t, mu: Tensor, s: Tensor, e: Tensor) -> Tensor:
-        """Unit-noise prediction; y_t and mu are (L, D) or (n, L, D)."""
+    def score_t(self, y_t: Tensor, t, mu: Tensor, s: Tensor, e: Tensor) -> Tensor:
+        """Graph-path score estimate, the noise prediction / sqrt(var(t)).
+
+        y_t and mu are (n, L, D), s is (n, style_dim) and e (n, emotion_dim);
+        t is one time or one per row.
+        """
         shape = y_t.data.shape
+        if len(shape) != 3:
+            raise DiffusionError(f"expected Y_t of shape (n, L, D), got {shape}")
         if mu.data.shape != shape:
             raise DiffusionError(f"mu shape {mu.data.shape} does not match Y_t {shape}")
         if shape[-1] != self.frame_dim:
             raise DiffusionError(f"frame dim {shape[-1]} does not match net {self.frame_dim}")
-        batched = y_t.data.ndim == 3
-        n = shape[0] if batched else 1
-        length = shape[-2]
-        temb, s_rows, e_rows = self._cond_rows(n, length, t, s, e, batched)
-        rows = ad.concat([y_t, temb, mu, s_rows, e_rows], axis=-1)
-        skip = ad.mul(ad.sub(y_t, mu), self._skip_coeff(t, batched))
-        return ad.add(skip, ad.mlp_apply(self.params, "net", rows, self.n_layers))
-
-    def score_t(self, y_t: Tensor, t, mu: Tensor, s: Tensor, e: Tensor) -> Tensor:
-        """Graph-path score estimate: noise prediction / sqrt(var(t))."""
+        n, length, _ = shape
+        if s.data.shape != (n, self.style_dim) or e.data.shape != (n, self.emotion_dim):
+            raise DiffusionError(f"expected style ({n}, {self.style_dim}) and emotion "
+                                 f"({n}, {self.emotion_dim}), got {s.data.shape} and "
+                                 f"{e.data.shape}")
+        temb = time_embedding(t)
+        temb = np.broadcast_to(temb if temb.ndim == 1 else temb[:, None, :], (n, length, 5))
+        s_rows = ad.broadcast_to(ad.reshape(s, (n, 1, self.style_dim)),
+                                 (n, length, self.style_dim))
+        e_rows = ad.broadcast_to(ad.reshape(e, (n, 1, self.emotion_dim)),
+                                 (n, length, self.emotion_dim))
+        rows = ad.concat([y_t, Tensor(temb.copy()), mu, s_rows, e_rows], axis=-1)
+        skip = ad.mul(ad.sub(y_t, mu), self._skip_coeff(t))
+        noise = ad.add(skip, ad.mlp_apply(self.params, "net", rows, self.n_layers))
         inv_sd = 1.0 / np.sqrt(self.schedule.var(t))
         if np.ndim(inv_sd) == 1:
-            inv_sd = inv_sd[:, None, None] if y_t.data.ndim == 3 else inv_sd[:, None]
-        return ad.mul(self.noise_t(y_t, t, mu, s, e), inv_sd)
+            inv_sd = inv_sd[:, None, None]
+        return ad.mul(noise, inv_sd)
 
     def __call__(self, y_t, t, mu, s, e_emb) -> np.ndarray:
         return self.score_t(Tensor(y_t), t, Tensor(mu), Tensor(s), Tensor(e_emb)).data
@@ -200,8 +195,9 @@ def dsm_loss_t(scorenet: ScoreNet, y0: np.ndarray, mu, s, e_emb,
 
     Draws one t ~ U[t_min, T] and one noise realization per batch element,
     forms Y_t with the forward kernel, and returns
-    mean(var(t) * (score - target)^2) over all elements. Pass mu/s/e_emb
-    as Tensors to let gradients flow into the generator and encoder.
+    mean(var(t) * (score - target)^2) over all elements. mu and s are
+    constants; pass e_emb as a Tensor to let gradients flow into the
+    emotion table.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 3 or y0.shape[0] == 0:
@@ -213,32 +209,13 @@ def dsm_loss_t(scorenet: ScoreNet, y0: np.ndarray, mu, s, e_emb,
     var = schedule.var(t)[:, None, None]
     sd = np.sqrt(var)
 
-    mu_t = mu if isinstance(mu, Tensor) else Tensor(np.asarray(mu, dtype=np.float64))
-    s_t = s if isinstance(s, Tensor) else Tensor(np.asarray(s, dtype=np.float64))
-    e_t = e_emb if isinstance(e_emb, Tensor) else Tensor(np.asarray(e_emb, dtype=np.float64))
-
-    y_t = ad.add(ad.mul(mu_t, 1.0 - rho), Tensor(y0 * rho + sd * z))
-    target = -z / sd
-    eps = scorenet.score_t(y_t, t, mu_t, s_t, e_t)
-    resid = ad.sub(eps, Tensor(target))
+    mu = np.asarray(mu, dtype=np.float64)
+    # this grouping, not perturb's, fixes the trained bytes
+    y_t = Tensor(mu * (1.0 - rho) + (y0 * rho + sd * z))
+    e_t = e_emb if isinstance(e_emb, Tensor) else Tensor(e_emb)
+    eps = scorenet.score_t(y_t, t, Tensor(mu), Tensor(s), e_t)
+    resid = ad.sub(eps, Tensor(-z / sd))
     return ad.tmean(ad.mul(ad.mul(resid, resid), Tensor(np.broadcast_to(var, y0.shape).copy())))
-
-
-def dsm_loss(scorenet: ScoreNet, batch, schedule: NoiseSchedule, seed) -> float:
-    """Standalone DSM loss over a batch of (Y0, mu, s, e_emb) tuples.
-
-    Populates gradients for the score net only (conditioning inputs are
-    treated as constants here; training composes the graph itself).
-    """
-    if not batch:
-        raise DiffusionError("empty batch")
-    y0 = np.stack([np.asarray(item[0], dtype=np.float64) for item in batch])
-    mu = np.stack([np.asarray(item[1], dtype=np.float64) for item in batch])
-    s = np.stack([np.asarray(item[2], dtype=np.float64) for item in batch])
-    e = np.stack([np.asarray(item[3], dtype=np.float64) for item in batch])
-    loss = dsm_loss_t(scorenet, y0, mu, s, e, schedule, _rng(seed))
-    loss.backward()
-    return float(loss.data)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +270,8 @@ def guided_score_cg(score_uncond, noisy_clf, y_t, t: float, target_e, gamma: flo
 def _integrate(score_fn, mu: np.ndarray, schedule: NoiseSchedule, steps: int,
                rng: np.random.Generator, stochastic: bool,
                trajectory: list | None = None) -> np.ndarray:
+    if mu.ndim != 3:
+        raise DiffusionError(f"expected a batch mu of shape (n, L, D), got {mu.shape}")
     if steps < 1:
         raise DiffusionError(f"steps must be >= 1, got {steps}")
     y = mu + rng.standard_normal(mu.shape)
@@ -314,84 +293,73 @@ def _integrate(score_fn, mu: np.ndarray, schedule: NoiseSchedule, steps: int,
     return y
 
 
-def _as_mu_batch(mu) -> tuple[np.ndarray, bool]:
-    mu = np.asarray(mu, dtype=np.float64)
-    if mu.ndim == 2:
-        return mu[None], True
-    if mu.ndim == 3:
-        return mu, False
-    raise DiffusionError(f"mu must be (L, D) or (n, L, D), got shape {mu.shape}")
-
-
 def sample_reverse(scorenet, mu, s, e_emb, schedule: NoiseSchedule, steps: int,
                    seed, stochastic: bool = True,
                    trajectory: list | None = None) -> np.ndarray:
-    """Plain conditional reverse sampling from Y_T ~ N(mu, I).
+    """Plain conditional reverse sampling from Y_T ~ N(mu, I) for a batch
+    mu (n, L, D) with its styles s and emotion embeddings e_emb.
 
     ``scorenet`` may be any callable (y_t, t, mu, s, e_emb) -> score, which
     is how the analytic-score oracle is plugged in.
     """
-    mu_b, single = _as_mu_batch(mu)
-    s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-    e = np.atleast_2d(np.asarray(e_emb, dtype=np.float64))
-    rng = _rng(seed)
-    out = _integrate(lambda y, t: scorenet(y, t, mu_b, s, e), mu_b, schedule,
-                     steps, rng, stochastic, trajectory)
-    return out[0] if single else out
+    mu = np.asarray(mu, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    e = np.asarray(e_emb, dtype=np.float64)
+    return _integrate(lambda y, t: scorenet(y, t, mu, s, e), mu, schedule,
+                      steps, _rng(seed), stochastic, trajectory)
 
 
 def _guided_inputs(generator, table, tokens, s, emotion_label):
     """What both guided samplers build first: the token and style batches,
     one target per row, the null embedding and the null-path prior mean."""
     tokens = np.asarray(tokens, dtype=np.int64)
-    single = tokens.ndim == 1
-    toks = tokens[None] if single else tokens
-    s_b = np.atleast_2d(np.asarray(s, dtype=np.float64))
-    n = toks.shape[0]
+    if tokens.ndim != 2:
+        raise DiffusionError(f"expected a batch of tokens (n, L), got shape {tokens.shape}")
+    s = np.asarray(s, dtype=np.float64)
+    n = tokens.shape[0]
     targets = np.broadcast_to(np.asarray(emotion_label, dtype=np.int64), (n,))
     e_null = table.params["emb"].data[np.full(n, table.null_index, dtype=np.int64)]
-    return single, toks, s_b, targets, e_null, generator.generate(toks, s_b, e_null)
+    return tokens, s, targets, e_null, generator.generate(tokens, s, e_null)
 
 
 def sample_cfg(scorenet, generator, table, tokens, s, emotion_label,
                schedule: NoiseSchedule, steps: int, gamma: float, seed,
                stochastic: bool = True, trajectory: list | None = None) -> np.ndarray:
-    """Classifier-free guided sampling.
+    """Classifier-free guided sampling for tokens (n, L) and styles
+    (n, style_dim).
 
     Builds the conditional prior mean mu = f(tokens, s, e) and the null-path
     mu_null = f(tokens, s, null); each step combines the conditional and
     unconditional score estimates. The drift and the prior draw use the
     conditional mu.
     """
-    single, toks, s_b, targets, e_null, mu_null = _guided_inputs(
+    tokens, s, targets, e_null, mu_null = _guided_inputs(
         generator, table, tokens, s, emotion_label)
     e_cond = table.params["emb"].data[table.row_indices(targets)]
-    mu_cond = generator.generate(toks, s_b, e_cond)
+    mu_cond = generator.generate(tokens, s, e_cond)
 
     def score_fn(y, t):
-        eps_c = scorenet(y, t, mu_cond, s_b, e_cond)
-        eps_u = scorenet(y, t, mu_null, s_b, e_null)
+        eps_c = scorenet(y, t, mu_cond, s, e_cond)
+        eps_u = scorenet(y, t, mu_null, s, e_null)
         return combine_cfg(eps_c, eps_u, gamma)
 
-    out = _integrate(score_fn, mu_cond, schedule, steps, _rng(seed), stochastic, trajectory)
-    return out[0] if single else out
+    return _integrate(score_fn, mu_cond, schedule, steps, _rng(seed), stochastic, trajectory)
 
 
 def sample_cg(scorenet, noisy_clf, generator, table, tokens, s, emotion_label,
               schedule: NoiseSchedule, steps: int, gamma: float, seed,
               stochastic: bool = True, trajectory: list | None = None) -> np.ndarray:
-    """Classifier-guided sampling on the emotion-unconditional path.
+    """Classifier-guided sampling on the emotion-unconditional path for
+    tokens (n, L) and styles (n, style_dim).
 
     The prior mean is built with the null embedding (emotion enters only
     through the classifier), and the unconditional score is the score net's
     null path.
     """
-    single, _, s_b, targets, e_null, mu_null = _guided_inputs(
-        generator, table, tokens, s, emotion_label)
+    _, s, targets, e_null, mu_null = _guided_inputs(generator, table, tokens, s, emotion_label)
 
     def score_fn(y, t):
-        eps_u = scorenet(y, t, mu_null, s_b, e_null)
+        eps_u = scorenet(y, t, mu_null, s, e_null)
         return guided_score_cg(eps_u, noisy_clf, y, t, targets, gamma)
 
-    out = _integrate(score_fn, mu_null, schedule, steps, _rng(seed), stochastic, trajectory)
-    return out[0] if single else out
+    return _integrate(score_fn, mu_null, schedule, steps, _rng(seed), stochastic, trajectory)

@@ -234,14 +234,14 @@ def _speaker_embeddings(world: World, samples: list[EvalSample],
                         refs: np.ndarray, styles: np.ndarray, model: Model):
     """Both SECS embedding candidates: mean frame minus the predicted
     emotion offset, and the style vector."""
+    sample_styles = model.encoder.encode(np.stack([sample.frames for sample in samples]))
     secs_frame = []
     secs_style = []
     for i, sample in enumerate(samples):
         emb_sample = sample.frames.mean(axis=0) - world.emotion_offset[sample.target_emotion]
         emb_ref = refs[i].mean(axis=0)
         secs_frame.append(secs_analog(emb_sample, emb_ref))
-        style_sample = model.encoder.encode(sample.frames)
-        secs_style.append(secs_analog(style_sample, styles[i]))
+        secs_style.append(secs_analog(sample_styles[i], styles[i]))
     return float(np.mean(secs_frame)), float(np.mean(secs_style))
 
 

@@ -102,6 +102,8 @@ class Generator:
 
     def _check_tokens(self, tokens) -> np.ndarray:
         toks = np.asarray(tokens, dtype=np.int64)
+        if toks.ndim != 2:
+            raise ValueError(f"expected a batch of tokens (n, L), got shape {toks.shape}")
         if toks.size == 0:
             raise ValueError("token sequence must be nonempty")
         if toks.min() < 0 or toks.max() >= self.vocab:
@@ -109,28 +111,16 @@ class Generator:
         return toks
 
     def generate_t(self, tokens, style: Tensor, emotion_emb: Tensor) -> Tensor:
-        """Graph path.
-
-        tokens (L,) with style (style_dim,) gives (L, frame_dim); tokens
-        (n, L) with style (n, style_dim) gives (n, L, frame_dim). Each row
-        depends only on its own token plus the shared conditioning.
-        """
+        """Graph path: tokens (n, L) with style (n, style_dim) and emotion
+        (n, emotion_dim) give (n, L, frame_dim). Each row depends only on
+        its own token plus its utterance's conditioning."""
         toks = self._check_tokens(tokens)
+        n, length = toks.shape
         tok_emb = ad.gather_rows(self.params["tok"], toks)
-        if toks.ndim == 1:
-            length = toks.shape[0]
-            s_rows = ad.broadcast_to(ad.reshape(style, (1, self.style_dim)),
-                                     (length, self.style_dim))
-            e_rows = ad.broadcast_to(ad.reshape(emotion_emb, (1, self.emotion_dim)),
-                                     (length, self.emotion_dim))
-        elif toks.ndim == 2:
-            n, length = toks.shape
-            s_rows = ad.broadcast_to(ad.reshape(style, (n, 1, self.style_dim)),
-                                     (n, length, self.style_dim))
-            e_rows = ad.broadcast_to(ad.reshape(emotion_emb, (n, 1, self.emotion_dim)),
-                                     (n, length, self.emotion_dim))
-        else:
-            raise ValueError(f"tokens must be 1-D or 2-D, got shape {toks.shape}")
+        s_rows = ad.broadcast_to(ad.reshape(style, (n, 1, self.style_dim)),
+                                 (n, length, self.style_dim))
+        e_rows = ad.broadcast_to(ad.reshape(emotion_emb, (n, 1, self.emotion_dim)),
+                                 (n, length, self.emotion_dim))
         rows = ad.concat([tok_emb, s_rows, e_rows], axis=-1)
         return ad.mlp_apply(self.params, "net", rows, self.n_layers)
 

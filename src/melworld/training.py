@@ -41,7 +41,7 @@ from scipy.special import softmax as np_softmax
 from . import autodiff as ad
 from . import checkpoint as ckpt_io
 from .autodiff import GraphError, ParamStore, Tensor
-from .diffusion import NoiseSchedule, ScoreNet, dsm_loss_t, time_embedding
+from .diffusion import NoiseSchedule, ScoreNet, dsm_loss_t, perturb, time_embedding
 from .stylegen import EmotionTable, Generator, StyleEncoder
 from .world import NEUTRAL, World, SpeakerSplit, sample_utterance_batch, world_hash
 
@@ -143,12 +143,13 @@ class NoisyClassifier:
         ad.mlp_init(self.params, "net", [frame_dim + 5] + [hidden] * n_hidden + [n_emotions])
 
     def logits_t(self, y_t: Tensor, t, frozen: bool = False) -> Tensor:
-        """Logits of p(e | Y_t); ``frozen`` takes the parameters as constants,
-        so a backward pass reaches the input only."""
+        """Logits of p(e | Y_t) for a batch (n, L, D) at one t or one t per
+        row; ``frozen`` takes the parameters as constants, so a backward
+        pass reaches the input only."""
+        if y_t.data.ndim != 3:
+            raise TrainingError(f"expected noisy frames (n, L, D), got shape {y_t.data.shape}")
         pooled = ad.tmean(y_t, axis=-2)
-        temb = time_embedding(t)
-        if pooled.data.ndim == 2:
-            temb = np.broadcast_to(temb, (pooled.data.shape[0], 5)).copy()
+        temb = np.broadcast_to(time_embedding(t), (pooled.data.shape[0], 5)).copy()
         x = ad.concat([pooled, Tensor(temb)], axis=-1)
         params = ({name: p.data for name, p in self.params.tensors().items()}
                   if frozen else self.params)
@@ -158,18 +159,14 @@ class NoisyClassifier:
         return np_softmax(self.logits_t(Tensor(y_t), t).data, axis=-1)
 
     def grad_log_prob(self, y_t, t, target) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient of log p(target | Y_t) with respect to Y_t, and the
-        posterior p(. | Y_t), from one forward pass; no gradient reaches the
-        classifier's parameters."""
+        """Gradient of log p(target | Y_t) with respect to Y_t, one target
+        per row, and the posterior p(. | Y_t), from one forward pass; no
+        gradient reaches the classifier's parameters."""
         leaf = Tensor(y_t, requires_grad=True)
         logits = self.logits_t(leaf, t, frozen=True)
-        labels = np.asarray(target, dtype=np.int64)
-        if logits.data.ndim == 1:
-            labels = labels.reshape(())
-        n = max(int(np.prod(logits.data.shape[:-1])), 1)
-        loss = ad.softmax_cross_entropy(logits, labels)
+        loss = ad.softmax_cross_entropy(logits, np.asarray(target, dtype=np.int64))
         loss.backward()
-        return -n * leaf.grad, np_softmax(logits.data, axis=-1)
+        return -logits.data.shape[0] * leaf.grad, np_softmax(logits.data, axis=-1)
 
 
 @dataclass
@@ -239,33 +236,11 @@ def sgd_update(stores, lr: float, clip_norm: float | None = None) -> float:
     return norm
 
 
-def dat_step(encoder: StyleEncoder, probe: EmotionProbeHead, frames, labels,
-             alpha: float, lr: float, apply_update: bool = True) -> dict:
-    """One adversarial step on the emotion classification loss alone.
-
-    The probe receives the standard gradient; the encoder receives -alpha
-    times it through the reversal node. Returns the loss and both gradient
-    norms (taken before any update).
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise TrainingError("batch lacks emotion labels")
-    style = encoder.encode_t(Tensor(frames))
-    reversed_style = ad.grad_reverse(style, alpha)
-    logits = probe.logits_t(reversed_style)
-    loss = ad.softmax_cross_entropy(logits, labels)
-    encoder.params.zero_grad()
-    probe.params.zero_grad()
-    loss.backward()
-    record = {
-        "loss_e": float(loss.data),
-        "probe_grad_norm": float(np.sqrt(probe.params.grad_sq_norm())),
-        "encoder_grad_norm": float(np.sqrt(encoder.params.grad_sq_norm())),
-    }
-    if apply_update:
-        sgd_update([encoder.params, probe.params], lr)
-    return record
+def dat_loss_t(probe: EmotionProbeHead, style: Tensor, labels, alpha: float) -> Tensor:
+    """L_e, the probe's cross-entropy on the style behind a gradient-reversal
+    node: the probe receives the standard gradient and the style -alpha
+    times it."""
+    return ad.softmax_cross_entropy(probe.logits_t(ad.grad_reverse(style, alpha)), labels)
 
 
 @dataclass
@@ -379,9 +354,7 @@ def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainCo
             mu_null = model.generator.generate(tokens, style.data, e_null)
             loss_dsm = ad.add(loss_dsm, dsm_loss_t(model.scorenet, frames, mu_null, style.data,
                                                    e_null, model.schedule, rng))
-            reversed_style = ad.grad_reverse(style, config.alpha)
-            logits = model.probe.logits_t(reversed_style)
-            loss_dat = ad.softmax_cross_entropy(logits, emotions)
+            loss_dat = dat_loss_t(model.probe, style, emotions, config.alpha)
             total = ad.add(ad.add(ad.mul(loss_recon, config.w_recon),
                                   ad.mul(loss_dsm, config.w_dsm)),
                            ad.mul(loss_dat, config.w_dat))
@@ -407,15 +380,19 @@ def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainCo
                       world_hash=world_hash(world), step=config.steps)
 
 
-def _neutral_styles(world: World, model: Model, speakers: np.ndarray,
-                    ref_len: int, rng: np.random.Generator) -> np.ndarray:
-    """Styles from fresh Neutral references, the only reference material the
+def _null_path_batch(world: World, model: Model, speakers, labels, tokens,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Clean frames of (speaker, label, tokens) rows and the null-path prior
+    mean that classifier-guided sampling builds for them from a fresh
+    Neutral reference of the same speaker, the only reference material the
     zero-shot protocol allows."""
-    ref_tokens = rng.integers(0, world.vocab, size=(speakers.size, ref_len))
-    refs = sample_utterance_batch(world, speakers,
-                                  np.full(speakers.size, NEUTRAL, dtype=np.int64),
+    n, length = tokens.shape
+    y0 = sample_utterance_batch(world, speakers, labels, tokens, rng)
+    ref_tokens = rng.integers(0, world.vocab, size=(n, length))
+    refs = sample_utterance_batch(world, speakers, np.full(n, NEUTRAL, dtype=np.int64),
                                   ref_tokens, rng)
-    return model.encoder.encode(refs)
+    e_null = model.table.params["emb"].data[np.full(n, model.table.null_index)]
+    return y0, model.generator.generate(tokens, model.encoder.encode(refs), e_null)
 
 
 def train_noisy_classifier(world: World, split: SpeakerSplit, model: Model,
@@ -439,17 +416,10 @@ def train_noisy_classifier(world: World, split: SpeakerSplit, model: Model,
         speakers = rng.choice(seen, size=config.clf_batch)
         labels = rng.choice(emotion_arr, size=config.clf_batch)
         tokens = rng.integers(0, world.vocab, size=(config.clf_batch, config.utt_len))
-        y0 = sample_utterance_batch(world, speakers, labels, tokens, rng)
-        styles = _neutral_styles(world, model, speakers, config.utt_len, rng)
-        e_null = model.table.params["emb"].data[
-            np.full(config.clf_batch, model.table.null_index)]
-        mu_null = model.generator.generate(tokens, styles, e_null)
+        y0, mu_null = _null_path_batch(world, model, speakers, labels, tokens, rng)
         t = rng.uniform(schedule.t_min, schedule.T, size=config.clf_batch)
-        rho = schedule.rho(t)[:, None, None]
-        sd = np.sqrt(schedule.var(t))[:, None, None]
-        y_t = mu_null + (y0 - mu_null) * rho + sd * rng.standard_normal(y0.shape)
-        logits = clf.logits_t(Tensor(y_t), t)
-        loss = ad.softmax_cross_entropy(logits, labels)
+        y_t, _ = perturb(y0, mu_null, t, schedule, rng)
+        loss = ad.softmax_cross_entropy(clf.logits_t(Tensor(y_t), t), labels)
         clf.params.zero_grad()
         loss.backward()
         sgd_update([clf.params], config.clf_lr, config.clip_norm)
@@ -466,12 +436,8 @@ def noisy_classifier_accuracy(world: World, model: Model, speakers, t: float,
     spk = rng.choice(speakers, size=n)
     labels = rng.integers(0, world.n_emotions, size=n)
     tokens = rng.integers(0, world.vocab, size=(n, utt_len))
-    y0 = sample_utterance_batch(world, spk, labels, tokens, rng)
-    styles = _neutral_styles(world, model, spk, utt_len, rng)
-    e_null = model.table.params["emb"].data[np.full(n, model.table.null_index)]
-    mu_null = model.generator.generate(tokens, styles, e_null)
-    rho = float(model.schedule.rho(t))
-    sd = float(np.sqrt(model.schedule.var(t)))
-    y_t = mu_null + (y0 - mu_null) * rho + sd * rng.standard_normal(y0.shape)
-    pred = model.noisy_clf.posterior(y_t, np.full(n, t)).argmax(axis=-1)
+    y0, mu_null = _null_path_batch(world, model, spk, labels, tokens, rng)
+    t_rows = np.full(n, t)
+    y_t, _ = perturb(y0, mu_null, t_rows, model.schedule, rng)
+    pred = model.noisy_clf.posterior(y_t, t_rows).argmax(axis=-1)
     return float((pred == labels).mean())

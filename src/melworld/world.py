@@ -96,14 +96,6 @@ class World:
 
 
 @dataclass(frozen=True)
-class Utterance:
-    speaker: int
-    emotion: int
-    tokens: np.ndarray
-    frames: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpeakerSplit:
     seen: tuple
     unseen: tuple
@@ -116,6 +108,17 @@ def _min_pairwise_distance(rows: np.ndarray) -> float:
         d = np.linalg.norm(rows[i + 1:] - rows[i], axis=1).min()
         best = min(best, float(d))
     return best
+
+
+def _separated(draw, min_sep: float, what: str) -> np.ndarray:
+    """The first of up to _MAX_RESAMPLES draws whose rows are pairwise at
+    least ``min_sep`` apart."""
+    for _ in range(_MAX_RESAMPLES):
+        candidate = draw()
+        if _min_pairwise_distance(candidate) >= min_sep:
+            return candidate
+    raise WorldError(f"could not separate {what} after {_MAX_RESAMPLES} resamples; "
+                     "increase frame_dim or decrease tau")
 
 
 def make_world(config: WorldConfig = WorldConfig(), seed: int = 0) -> World:
@@ -139,29 +142,15 @@ def make_world(config: WorldConfig = WorldConfig(), seed: int = 0) -> World:
     spk_scale = max(_SPEAKER_SCALE, 3.0 * config.tau)
     emo_scale = max(_EMOTION_SCALE, 3.0 * config.tau)
 
-    speaker_base = None
-    for _ in range(_MAX_RESAMPLES):
-        candidate = spk_scale * rng.standard_normal((config.n_speakers, config.frame_dim))
-        if _min_pairwise_distance(candidate) >= min_sep:
-            speaker_base = candidate
-            break
-    if speaker_base is None:
-        raise WorldError("could not separate speaker bases after "
-                         f"{_MAX_RESAMPLES} resamples; increase frame_dim or decrease tau")
-
-    emotion_offset = None
-    for _ in range(_MAX_RESAMPLES):
-        candidate = np.zeros((config.n_emotions, config.frame_dim))
-        candidate[1:] = emo_scale * rng.standard_normal(
-            (config.n_emotions - 1, config.frame_dim))
-        if _min_pairwise_distance(candidate) >= min_sep:
-            emotion_offset = candidate
-            break
-    if emotion_offset is None:
-        raise WorldError("could not separate emotion offsets after "
-                         f"{_MAX_RESAMPLES} resamples; increase frame_dim or decrease tau")
-
-    token_effect = _TOKEN_SCALE * rng.standard_normal((config.vocab, config.frame_dim))
+    d = config.frame_dim
+    speaker_base = _separated(
+        lambda: spk_scale * rng.standard_normal((config.n_speakers, d)),
+        min_sep, "speaker bases")
+    emotion_offset = _separated(
+        lambda: np.vstack([np.zeros((1, d)),
+                           emo_scale * rng.standard_normal((config.n_emotions - 1, d))]),
+        min_sep, "emotion offsets")
+    token_effect = _TOKEN_SCALE * rng.standard_normal((config.vocab, d))
     return World(
         frame_dim=config.frame_dim,
         vocab=config.vocab,
@@ -183,16 +172,6 @@ def utterance_mean(world: World, speaker: int, emotion: int, tokens) -> np.ndarr
     toks = world.check_tokens(tokens)
     return (world.speaker_base[spk] + world.emotion_offset[emo])[None, :] \
         + world.token_effect[toks]
-
-
-def sample_utterance(world: World, speaker: int, emotion: int, tokens,
-                     seed) -> Utterance:
-    """Draw frames around the analytic mean; deterministic given seed."""
-    mean = utterance_mean(world, speaker, emotion, tokens)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    frames = mean + world.tau * rng.standard_normal(mean.shape)
-    return Utterance(speaker=int(speaker), emotion=int(emotion),
-                     tokens=world.check_tokens(tokens), frames=frames)
 
 
 def sample_utterance_batch(world: World, speakers, emotions, tokens,
@@ -249,21 +228,20 @@ def _component_means(world: World, speakers, emotions, tokens, n_rows: int) -> n
 
 
 def _mixture(world: World, speaker_prior, emotion, mu, y_t, t: float, schedule,
-             tokens) -> tuple[np.ndarray, bool, np.ndarray, np.ndarray, float]:
+             tokens) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray, float]:
     """The perturbed mixture over the uniform prior on speakers x emotions.
 
     ``y_t`` is (L, D) or (n, L, D); ``emotion`` is one id or ``"all"``.
-    Returns (Y_t as an (n, L, D) batch, whether it was one utterance,
-    per-component perturbed means m_t of shape (C, n, L, D), joint
-    log-likelihoods of shape (C, n), marginal variance v).
+    Returns (Y_t as an (n, L, D) batch, the leading shape of ``y_t``, () or
+    (n,), to give the results, per-component perturbed means m_t of shape
+    (C, n, L, D), joint log-likelihoods of shape (C, n), marginal variance v).
     """
     y = np.asarray(y_t, dtype=np.float64)
-    single = y.ndim == 2
-    if single:
-        y = y[None, :, :]
-    elif y.ndim != 3:
+    if y.ndim not in (2, 3):
         raise WorldError(f"expected (L, {world.frame_dim}) or (n, L, {world.frame_dim}) "
                          f"array, got shape {y.shape}")
+    lead = y.shape[:-2]
+    y = y.reshape((-1,) + y.shape[-2:])
     mu_b = np.broadcast_to(np.asarray(mu, dtype=np.float64), y.shape).astype(np.float64)
     speakers = sorted(set(int(s) for s in speaker_prior))
     if not speakers:
@@ -277,7 +255,7 @@ def _mixture(world: World, speaker_prior, emotion, mu, y_t, t: float, schedule,
     n_dims = y.shape[1] * y.shape[2]
     loglik = -0.5 * (diff * diff).sum(axis=(2, 3)) / v \
         - 0.5 * n_dims * np.log(2.0 * np.pi * v)
-    return y, single, m_t, loglik, v
+    return y, lead, m_t, loglik, v
 
 
 def analytic_score(world: World, speaker_prior, emotion, mu, y_t, t: float,
@@ -288,20 +266,20 @@ def analytic_score(world: World, speaker_prior, emotion, mu, y_t, t: float,
     id or ``"all"``; components are their uniform-weight product. ``tokens``
     adds the per-row token effect to every component mean.
     """
-    y, single, m_t, loglik, v = _mixture(world, speaker_prior, emotion, mu, y_t, t,
-                                         schedule, tokens)
+    y, lead, m_t, loglik, v = _mixture(world, speaker_prior, emotion, mu, y_t, t,
+                                       schedule, tokens)
     resp = softmax(loglik, axis=0)  # uniform weights cancel
     score = np.einsum("cn,cnld->nld", resp, -(y[None] - m_t)) / v
-    return score[0] if single else score
+    return score.reshape(lead + y.shape[1:])
 
 
 def analytic_log_density(world: World, speaker_prior, emotion, mu, y_t, t: float,
                          schedule, tokens=None) -> float | np.ndarray:
     """Log-density of the perturbed mixture (up to nothing; fully normalized)."""
-    _, single, _, loglik, _ = _mixture(world, speaker_prior, emotion, mu, y_t, t,
-                                       schedule, tokens)
+    _, lead, _, loglik, _ = _mixture(world, speaker_prior, emotion, mu, y_t, t,
+                                     schedule, tokens)
     out = logsumexp(loglik, axis=0) - np.log(loglik.shape[0])
-    return float(out[0]) if single else out
+    return out.reshape(lead)[()]  # a float for one utterance
 
 
 def analytic_emotion_posterior(world: World, speaker: int, mu, y_t, t: float,
@@ -311,9 +289,9 @@ def analytic_emotion_posterior(world: World, speaker: int, mu, y_t, t: float,
     Rows are combined by summing per-row log-likelihoods (the emotion is
     drawn once per utterance). Shape (n_emotions,) or (n, n_emotions).
     """
-    _, single, _, loglik, _ = _mixture(world, [speaker], "all", mu, y_t, t, schedule, tokens)
+    _, lead, _, loglik, _ = _mixture(world, [speaker], "all", mu, y_t, t, schedule, tokens)
     post = softmax(loglik, axis=0).T  # (n, K)
-    return post[0] if single else post
+    return post.reshape(lead + post.shape[1:])
 
 
 class AnalyticNoisyClassifier:
@@ -343,8 +321,8 @@ class AnalyticNoisyClassifier:
 
     def grad_log_prob(self, y_t, t: float, target) -> tuple[np.ndarray, np.ndarray]:
         world = self.world
-        y, single, m_t, loglik, v = _mixture(world, [self.speaker], "all", self.mu, y_t, t,
-                                             self.schedule, self.tokens)
+        y, lead, m_t, loglik, v = _mixture(world, [self.speaker], "all", self.mu, y_t, t,
+                                           self.schedule, self.tokens)
         post = softmax(loglik, axis=0)  # (K, n)
         cond_scores = -(y[None] - m_t) / v  # (K, n, L, D)
         target_arr = np.broadcast_to(np.asarray(target, dtype=np.int64), (y.shape[0],))
@@ -354,7 +332,7 @@ class AnalyticNoisyClassifier:
         picked = cond_scores[target_arr, np.arange(y.shape[0])]
         avg = np.einsum("kn,knld->nld", post, cond_scores)
         grad = picked - avg
-        return (grad[0], post[:, 0]) if single else (grad, post.T)
+        return grad.reshape(lead + y.shape[1:]), post.T.reshape(lead + post.shape[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +368,7 @@ def load_world(text: str) -> World:
     lines = [ln for ln in text.splitlines()]
     if not lines or lines[0] != _FORMAT_HEADER:
         raise WorldError("not a world file (bad header)")
-    fields: dict[str, str] = {}
+    fields: dict = {}
     i = 1
     for key in ("frame_dim", "vocab", "n_speakers", "n_emotions", "tau", "max_len", "seed"):
         if i >= len(lines):
@@ -398,7 +376,10 @@ def load_world(text: str) -> World:
         parts = lines[i].split()
         if len(parts) != 2 or parts[0] != key:
             raise WorldError(f"expected '{key} <value>' at line {i + 1}")
-        fields[key] = parts[1]
+        try:
+            fields[key] = float(parts[1]) if key == "tau" else int(parts[1])
+        except ValueError:
+            raise WorldError(f"bad {key} value {parts[1]!r} at line {i + 1}") from None
         i += 1
 
     def read_matrix(name: str, n_rows: int, n_cols: int) -> np.ndarray:
@@ -408,7 +389,12 @@ def load_world(text: str) -> World:
         i += 1
         rows = []
         for _ in range(n_rows):
-            values = [float(v) for v in lines[i].split()]
+            if i >= len(lines):
+                raise WorldError(f"world file truncated in matrix '{name}'")
+            try:
+                values = [float(v) for v in lines[i].split()]
+            except ValueError:
+                raise WorldError(f"non-numeric entry in matrix '{name}' at line {i + 1}") from None
             if len(values) != n_cols:
                 raise WorldError(f"matrix '{name}' row has {len(values)} values, "
                                  f"expected {n_cols}")
@@ -416,18 +402,12 @@ def load_world(text: str) -> World:
             i += 1
         return np.array(rows, dtype=np.float64)
 
-    d = int(fields["frame_dim"])
+    d = fields["frame_dim"]
     world = World(
-        frame_dim=d,
-        vocab=int(fields["vocab"]),
-        n_speakers=int(fields["n_speakers"]),
-        n_emotions=int(fields["n_emotions"]),
-        tau=float(fields["tau"]),
-        max_len=int(fields["max_len"]),
-        seed=int(fields["seed"]),
-        speaker_base=read_matrix("speaker_base", int(fields["n_speakers"]), d),
-        emotion_offset=read_matrix("emotion_offset", int(fields["n_emotions"]), d),
-        token_effect=read_matrix("token_effect", int(fields["vocab"]), d),
+        **fields,
+        speaker_base=read_matrix("speaker_base", fields["n_speakers"], d),
+        emotion_offset=read_matrix("emotion_offset", fields["n_emotions"], d),
+        token_effect=read_matrix("token_effect", fields["vocab"], d),
     )
     if np.any(world.emotion_offset[NEUTRAL] != 0.0):
         raise WorldError("corrupt world file: neutral emotion offset is nonzero")

@@ -27,7 +27,7 @@ from melworld.metrics import (
 )
 from melworld.training import sgd_update
 from melworld.verify import run_bayes_identity, run_gradcheck_suite, run_score_vs_numeric
-from melworld.world import AnalyticNoisyClassifier
+from melworld.world import AnalyticNoisyClassifier, sample_utterance_batch
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -162,11 +162,11 @@ def test_criterion_4_score_learning(acc_world):
 
 def test_criterion_5_sampler_reductions(acc_world, dat_checkpoint):
     world, model = acc_world, dat_checkpoint.model
-    tokens = np.array([1, 5, 2, 8])
-    ref = mw.sample_utterance(world, 0, 0, [3, 4, 1], seed=1).frames
+    tokens = np.array([[1, 5, 2, 8]])
+    ref = sample_utterance_batch(world, [0], [0], [[3, 4, 1]], np.random.default_rng(1))
     style = model.encoder.encode(ref)
 
-    e_cond = model.table.embed(2)
+    e_cond = model.table.embed(2)[None]
     mu_cond = model.generator.generate(tokens, style, e_cond)
     cfg0 = mw.sample_cfg(model.scorenet, model.generator, model.table, tokens,
                          style, 2, model.schedule, 50, 0.0, seed=3)
@@ -174,9 +174,9 @@ def test_criterion_5_sampler_reductions(acc_world, dat_checkpoint):
                              model.schedule, 50, seed=3)
     cfg_reduces = np.array_equal(cfg0, cond)
 
-    e_null = model.table.embed(None)
+    e_null = model.table.embed(None)[None]
     mu_null = model.generator.generate(tokens, style, e_null)
-    clf = AnalyticNoisyClassifier(world, 0, tokens, mu_null, model.schedule)
+    clf = AnalyticNoisyClassifier(world, 0, tokens[0], mu_null[0], model.schedule)
     cg0 = mw.sample_cg(model.scorenet, clf, model.generator, model.table, tokens,
                        style, 1, model.schedule, 50, 0.0, seed=4)
     uncond = mw.sample_reverse(model.scorenet, mu_null, style, e_null,

@@ -3,6 +3,7 @@ reproducibility."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -227,30 +228,49 @@ def test_sample_and_trajectory(trained_run, tmp_path, mode):
     assert len(trajectory) == 5
 
 
-@pytest.mark.parametrize("command, setting, truncate", [
-    ("eval", "eval.mode=bogus", False),
-    ("eval", "eval.group=typo", False),
-    ("sweep", "eval.group=typo", False),
-    ("sample", "sample.emotion=9", False),
-    ("sample", "sample.n=1", True),
-    ("sample", "sample.tokens=1,99", False),
-    ("sample", "sample.n=-1", False),
-    ("sample", "sample.mode=a#b", False),
-    ("train", "train.batch_size=0", False),
+# each damages a copy of the trained run's checkpoint or world file
+_CORRUPT = {
+    "checkpoint": lambda raw: raw[:len(raw) // 2],
+    "world-truncated": lambda raw: raw[:600],
+    "world-header": lambda raw: re.sub(rb"(?m)^tau .*$", b"tau abc", raw),
+    "world-entry": lambda raw: re.sub(rb"(speaker_base\n)\S+", rb"\1x", raw),
+}
+
+
+@pytest.mark.parametrize("command, setting, corrupt", [
+    ("eval", "eval.mode=bogus", None),
+    ("eval", "eval.group=typo", None),
+    ("sweep", "eval.group=typo", None),
+    ("sample", "sample.emotion=9", None),
+    ("sample", "sample.n=1", "checkpoint"),
+    ("sample", "sample.tokens=1,99", None),
+    ("sample", "sample.n=-1", None),
+    ("sample", "sample.mode=a#b", None),
+    ("train", "train.batch_size=0", None),
+    ("sample", "sample.speaker=99", None),
+    ("gen-data", "run.seed=0", "world-truncated"),
+    ("gen-data", "run.seed=0", "world-header"),
+    ("gen-data", "run.seed=0", "world-entry"),
 ], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint",
-        "sample-tokens", "sample-n", "sample-mode-comment", "train-batch-size"])
+        "sample-tokens", "sample-n", "sample-mode-comment", "train-batch-size",
+        "sample-speaker", "truncated-world", "world-header-value", "world-matrix-entry"])
 def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, setting,
-                                             truncate):
-    checkpoint = trained_run / "checkpoint.bin"
-    if truncate:
-        raw = checkpoint.read_bytes()
-        checkpoint = tmp_path / "truncated.bin"
-        checkpoint.write_bytes(raw[:len(raw) // 2])
-    checkpoint_args = [] if command == "train" else ["--checkpoint", str(checkpoint)]
+                                             corrupt):
+    files = {"checkpoint": trained_run / "checkpoint.bin", "world": trained_run / "world.txt"}
+    if corrupt is not None:
+        kind = corrupt.split("-")[0]
+        damaged = tmp_path / files[kind].name
+        damaged.write_bytes(_CORRUPT[corrupt](files[kind].read_bytes()))
+        files[kind] = damaged
+    extra = []
+    if command in ("eval", "sweep", "sample"):
+        extra += ["--checkpoint", str(files["checkpoint"])]
+    if command == "gen-data":
+        extra += ["--world", str(files["world"])]
     src = str(Path(mw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "melworld.cli", command, *checkpoint_args,
+        [sys.executable, "-m", "melworld.cli", command, *extra,
          "--outdir", str(tmp_path / "out"), "--set", setting,
          "--set", "eval.n_samples=4", "--set", "eval.steps=2"],
         capture_output=True, text=True, env=env, timeout=300)

@@ -1,4 +1,5 @@
-"""Forward kernel, DSM loss, and the three reverse samplers."""
+"""Forward kernel, DSM loss, the three reverse samplers, and the batch-only
+contract of the model and sampler entry points."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from melworld.diffusion import (
     dsm_loss_t,
     time_embedding,
 )
-from melworld.world import AnalyticNoisyClassifier, WorldConfig
+from melworld.training import TrainingError
+from melworld.world import NEUTRAL, AnalyticNoisyClassifier, WorldConfig, sample_utterance_batch
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +50,8 @@ def test_perturb_fixed_point_at_mu(schedule):
             return np.zeros(shape)
 
     for t in (0.1, 0.5, 1.0):
-        y_t, _ = mw.perturb(mu, mu, t, schedule, ZeroRng())
-        assert np.allclose(y_t, mu, atol=1e-15)
+        y_t, _ = mw.perturb(mu[None], mu[None], np.array([t]), schedule, ZeroRng())
+        assert np.allclose(y_t[0], mu, atol=1e-15)
 
 
 def test_perturb_terminal_close_to_prior(schedule):
@@ -57,7 +59,8 @@ def test_perturb_terminal_close_to_prior(schedule):
     mu = rng.standard_normal(6)
     y0 = mu + rng.standard_normal(6)  # fixed data point
     draws = np.stack([
-        mw.perturb(y0, mu, schedule.T, schedule, 1000 + i)[0] for i in range(10_000)
+        mw.perturb(y0[None, None], mu, np.array([schedule.T]), schedule, 1000 + i)[0][0, 0]
+        for i in range(10_000)
     ])
     assert np.abs(draws.mean(axis=0) - mu).max() < 0.05
     assert np.abs(draws.var(axis=0) - schedule.var(schedule.T)).max() < 0.02 * 2
@@ -68,28 +71,29 @@ def test_perturb_variance_matches_monte_carlo(schedule):
     y0 = rng.standard_normal(8)
     mu = rng.standard_normal(8)
     for t in (0.2, 0.6):
-        draws = np.stack([mw.perturb(y0, mu, t, schedule, i)[0] for i in range(10_000)])
+        draws = np.stack([mw.perturb(y0[None, None], mu, np.array([t]), schedule, i)[0][0, 0]
+                          for i in range(10_000)])
         v = schedule.var(t)
         # pool the per-coordinate variance estimates (all coordinates share v)
         assert abs(draws.var(axis=0).mean() - v) < 0.02 * v
 
 
 def test_perturb_deterministic_and_rejects_t0(schedule):
-    y0 = np.ones((2, 3))
-    a, sa = mw.perturb(y0, 0.0 * y0, 0.5, schedule, 7)
-    b, sb = mw.perturb(y0, 0.0 * y0, 0.5, schedule, 7)
+    y0 = np.ones((1, 2, 3))
+    a, sa = mw.perturb(y0, 0.0 * y0, np.array([0.5]), schedule, 7)
+    b, sb = mw.perturb(y0, 0.0 * y0, np.array([0.5]), schedule, 7)
     assert np.array_equal(a, b) and np.array_equal(sa, sb)
     with pytest.raises(DiffusionError):
-        mw.perturb(y0, y0, 0.0, schedule, 7)
+        mw.perturb(y0, y0, np.array([0.0]), schedule, 7)
 
 
 def test_perturb_target_is_conditional_score(schedule):
     # target = -(y_t - m_t)/v for the single-point kernel
     rng = np.random.default_rng(3)
-    y0 = rng.standard_normal((2, 4))
-    mu = rng.standard_normal((2, 4))
+    y0 = rng.standard_normal((1, 2, 4))
+    mu = rng.standard_normal((1, 2, 4))
     t = 0.37
-    y_t, target = mw.perturb(y0, mu, t, schedule, 11)
+    y_t, target = mw.perturb(y0, mu, np.array([t]), schedule, 11)
     rho, v = schedule.rho(t), schedule.var(t)
     m_t = mu + (y0 - mu) * rho
     assert np.allclose(target, -(y_t - m_t) / v, atol=1e-12)
@@ -101,11 +105,11 @@ def test_perturb_target_is_conditional_score(schedule):
 
 def test_estimate_score_identical_rows(schedule):
     net = mw.ScoreNet(4, 16, 8, seed=0)
-    y = np.tile(np.array([[0.3, -1.0, 0.2, 0.9]]), (3, 1))
-    mu = np.tile(np.array([[0.1, 0.1, -0.4, 0.0]]), (3, 1))
-    s = np.zeros(16)
-    e = np.zeros(8)
-    score = net(y, 0.5, mu, s, e)
+    y = np.tile(np.array([[0.3, -1.0, 0.2, 0.9]]), (1, 3, 1))
+    mu = np.tile(np.array([[0.1, 0.1, -0.4, 0.0]]), (1, 3, 1))
+    s = np.zeros((1, 16))
+    e = np.zeros((1, 8))
+    score = net(y, 0.5, mu, s, e)[0]
     assert np.array_equal(score[0], score[1])
     assert np.array_equal(score[1], score[2])
 
@@ -113,8 +117,8 @@ def test_estimate_score_identical_rows(schedule):
 def test_estimate_score_deterministic():
     net = mw.ScoreNet(4, 16, 8, seed=0)
     rng = np.random.default_rng(4)
-    args = (rng.standard_normal((2, 4)), 0.3, rng.standard_normal((2, 4)),
-            rng.standard_normal(16), rng.standard_normal(8))
+    args = (rng.standard_normal((1, 2, 4)), 0.3, rng.standard_normal((1, 2, 4)),
+            rng.standard_normal((1, 16)), rng.standard_normal((1, 8)))
     assert np.array_equal(net(*args), net(*args))
 
 
@@ -129,8 +133,8 @@ def test_score_net_reduces_to_prior_score(schedule):
     y, mu = rng.standard_normal((2, 3, 5, 4))
     s, e = rng.standard_normal((3, 16)), rng.standard_normal((3, 8))
     for t in (schedule.t_min, 0.1, 0.5, 1.0):
-        score = net(y[0], t, mu[0], s[0], e[0])
-        np.testing.assert_allclose(score, -(y[0] - mu[0]), rtol=1e-12, atol=0)
+        score = net(y[:1], t, mu[:1], s[:1], e[:1])
+        np.testing.assert_allclose(score, -(y[:1] - mu[:1]), rtol=1e-12, atol=0)
     score = net(y, np.array([0.01, 0.3, 0.9]), mu, s, e)
     np.testing.assert_allclose(score, -(y - mu), rtol=1e-12, atol=0)
 
@@ -138,7 +142,7 @@ def test_score_net_reduces_to_prior_score(schedule):
 def test_estimate_score_shape_mismatch():
     net = mw.ScoreNet(4, 16, 8, seed=0)
     with pytest.raises(DiffusionError):
-        net(np.zeros((2, 4)), 0.3, np.zeros((3, 4)), np.zeros(16), np.zeros(8))
+        net(np.zeros((1, 2, 4)), 0.3, np.zeros((1, 3, 4)), np.zeros((1, 16)), np.zeros((1, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +171,16 @@ def test_dsm_loss_nonnegative(schedule):
     rng = np.random.default_rng(6)
     for i in range(100):
         y0 = rng.standard_normal((2, 3, 4))
-        batch = [(y0[j], np.zeros((3, 4)), np.zeros(16), np.zeros(8)) for j in range(2)]
-        net.params.zero_grad()
-        loss = mw.dsm_loss(net, batch, schedule, seed=i)
-        assert loss >= 0.0
+        loss = dsm_loss_t(net, y0, np.zeros((2, 3, 4)), np.zeros((2, 16)), np.zeros((2, 8)),
+                          schedule, np.random.default_rng(i))
+        assert float(loss.data) >= 0.0
 
 
 def test_dsm_loss_rejects_empty(schedule):
     net = mw.ScoreNet(4, 16, 8, seed=1)
     with pytest.raises(DiffusionError):
-        mw.dsm_loss(net, [], schedule, seed=0)
+        dsm_loss_t(net, np.zeros((0, 3, 4)), np.zeros((0, 3, 4)), np.zeros((0, 16)),
+                   np.zeros((0, 8)), schedule, np.random.default_rng(0))
 
 
 def test_dsm_gradcheck_tiny_instance(schedule):
@@ -225,15 +229,15 @@ def test_sample_reverse_zero_score_expands_from_prior(schedule):
     for seed in range(5):
         rng = np.random.default_rng(seed)
         y_T = rng.standard_normal((1, 2, 4))  # reproduce the prior draw
-        out = mw.sample_reverse(zero, np.zeros((2, 4)), np.zeros(1), np.zeros(1),
+        out = mw.sample_reverse(zero, np.zeros((1, 2, 4)), np.zeros((1, 1)), np.zeros((1, 1)),
                                 schedule, 100, seed=seed, stochastic=False)
         assert np.linalg.norm(out) > np.linalg.norm(y_T)
 
 
 def test_sample_reverse_deterministic(schedule):
     net = mw.ScoreNet(4, 16, 8, seed=0)
-    mu = np.random.default_rng(1).standard_normal((3, 4))
-    s, e = np.zeros(16), np.zeros(8)
+    mu = np.random.default_rng(1).standard_normal((1, 3, 4))
+    s, e = np.zeros((1, 16)), np.zeros((1, 8))
     a = mw.sample_reverse(net, mu, s, e, schedule, 25, seed=5)
     b = mw.sample_reverse(net, mu, s, e, schedule, 25, seed=5)
     assert np.array_equal(a, b)
@@ -242,14 +246,14 @@ def test_sample_reverse_deterministic(schedule):
 def test_sample_reverse_rejects_zero_steps(schedule):
     net = mw.ScoreNet(4, 16, 8, seed=0)
     with pytest.raises(DiffusionError):
-        mw.sample_reverse(net, np.zeros((1, 4)), np.zeros(16), np.zeros(8),
+        mw.sample_reverse(net, np.zeros((1, 1, 4)), np.zeros((1, 16)), np.zeros((1, 8)),
                           schedule, 0, seed=0)
 
 
 def test_step_halving_error_ratio(schedule):
     net = mw.ScoreNet(4, 16, 8, seed=5)
-    mu = np.random.default_rng(2).standard_normal((2, 4))
-    s, e = np.zeros(16), np.zeros(8)
+    mu = np.random.default_rng(2).standard_normal((1, 2, 4))
+    s, e = np.zeros((1, 16)), np.zeros((1, 8))
     outs = {n: mw.sample_reverse(net, mu, s, e, schedule, n, seed=7, stochastic=False)
             for n in (50, 100, 200)}
     ratio = np.linalg.norm(outs[50] - outs[100]) / np.linalg.norm(outs[100] - outs[200])
@@ -345,12 +349,17 @@ def tiny_model():
     return world, model
 
 
+def neutral_reference(world):
+    """A (1, 2, D) Neutral reference of speaker 0 with tokens (3, 4)."""
+    return sample_utterance_batch(world, [0], [NEUTRAL], [[3, 4]], np.random.default_rng(1))
+
+
 @pytest.mark.parametrize("stochastic", [True, False])
 def test_cfg_gamma_zero_reduces_to_conditional(tiny_model, stochastic):
     world, model = tiny_model
-    tokens = np.array([1, 5, 2])
-    s = model.encoder.encode(mw.sample_utterance(world, 0, 0, [3, 4], seed=1).frames)
-    e = model.table.embed(2)
+    tokens = np.array([[1, 5, 2]])
+    s = model.encoder.encode(neutral_reference(world))
+    e = model.table.embed(2)[None]
     mu = model.generator.generate(tokens, s, e)
     a = mw.sample_cfg(model.scorenet, model.generator, model.table, tokens, s, 2,
                       model.schedule, 20, 0.0, seed=3, stochastic=stochastic)
@@ -362,11 +371,11 @@ def test_cfg_gamma_zero_reduces_to_conditional(tiny_model, stochastic):
 @pytest.mark.parametrize("stochastic", [True, False])
 def test_cg_gamma_zero_reduces_to_unconditional(tiny_model, stochastic):
     world, model = tiny_model
-    tokens = np.array([1, 5, 2])
-    s = model.encoder.encode(mw.sample_utterance(world, 0, 0, [3, 4], seed=1).frames)
-    e_null = model.table.embed(None)
+    tokens = np.array([[1, 5, 2]])
+    s = model.encoder.encode(neutral_reference(world))
+    e_null = model.table.embed(None)[None]
     mu_null = model.generator.generate(tokens, s, e_null)
-    clf = AnalyticNoisyClassifier(world, 0, tokens, mu_null, model.schedule)
+    clf = AnalyticNoisyClassifier(world, 0, tokens[0], mu_null[0], model.schedule)
     a = mw.sample_cg(model.scorenet, clf, model.generator, model.table, tokens, s, 1,
                      model.schedule, 20, 0.0, seed=4, stochastic=stochastic)
     b = mw.sample_reverse(model.scorenet, mu_null, s, e_null, model.schedule, 20,
@@ -376,8 +385,8 @@ def test_cg_gamma_zero_reduces_to_unconditional(tiny_model, stochastic):
 
 def test_sample_cfg_deterministic(tiny_model):
     world, model = tiny_model
-    tokens = np.array([0, 1])
-    s = np.zeros(16)
+    tokens = np.array([[0, 1]])
+    s = np.zeros((1, 16))
     a = mw.sample_cfg(model.scorenet, model.generator, model.table, tokens, s, 1,
                       model.schedule, 10, 1.5, seed=8)
     b = mw.sample_cfg(model.scorenet, model.generator, model.table, tokens, s, 1,
@@ -406,9 +415,33 @@ def test_cg_analytic_everything_matches_conditional_sampler():
 def test_trajectory_dump(schedule):
     net = mw.ScoreNet(4, 16, 8, seed=0)
     trajectory = []
-    mw.sample_reverse(net, np.zeros((1, 4)), np.zeros(16), np.zeros(8), schedule,
+    mw.sample_reverse(net, np.zeros((1, 1, 4)), np.zeros((1, 16)), np.zeros((1, 8)), schedule,
                       5, seed=0, trajectory=trajectory)
     assert len(trajectory) == 5
     assert trajectory[0]["step"] == 0
     assert trajectory[0]["t"] == schedule.T
     assert all("score_norm" in rec for rec in trajectory)
+
+
+def test_batch_only_entry_points_reject_unbatched_input(tiny_model):
+    # an (L, D) utterance must not pass as L utterances of length D
+    world, model = tiny_model
+    d, schedule = world.frame_dim, model.schedule
+    tokens, s = np.array([1, 5, 2]), np.zeros(16)
+    y, mu = np.zeros((3, d)), np.zeros((3, d))
+    with pytest.raises(DiffusionError, match="n, L, D"):
+        model.scorenet(y, 0.5, mu, s, np.zeros(8))
+    with pytest.raises(ValueError, match="n, L"):
+        model.generator.generate(tokens, s, model.table.embed(1))
+    with pytest.raises(TrainingError, match="n, L, D"):
+        model.noisy_clf.posterior(y, 0.5)
+    with pytest.raises(TrainingError, match="n, L, D"):
+        model.noisy_clf.grad_log_prob(y, 0.5, 1)
+    with pytest.raises(DiffusionError, match="n, L, D"):
+        mw.sample_reverse(model.scorenet, mu, s, np.zeros(8), schedule, 2, seed=0)
+    with pytest.raises(DiffusionError, match="n, L"):
+        mw.sample_cfg(model.scorenet, model.generator, model.table, tokens, s, 1,
+                      schedule, 2, 1.0, seed=0)
+    with pytest.raises(DiffusionError, match="n, L"):
+        mw.sample_cg(model.scorenet, model.noisy_clf, model.generator, model.table, tokens,
+                     s, 1, schedule, 2, 1.0, seed=0)

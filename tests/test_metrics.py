@@ -15,7 +15,7 @@ from melworld.metrics import (
     make_scripts,
     styles_tsv,
 )
-from melworld.world import WorldConfig, utterance_mean
+from melworld.world import WorldConfig, sample_utterance_batch, utterance_mean
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,8 @@ def world():
 
 
 def make_sample(world, speaker, emotion, tokens, target=None, seed=0):
-    frames = mw.sample_utterance(world, speaker, emotion, tokens, seed=seed).frames
+    frames = sample_utterance_batch(world, [speaker], [emotion], [tokens],
+                                    np.random.default_rng(seed))[0]
     return EvalSample(frames=frames,
                       target_emotion=emotion if target is None else target,
                       speaker=speaker, tokens=np.asarray(tokens))

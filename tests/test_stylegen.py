@@ -7,6 +7,7 @@ import melworld as mw
 from melworld import autodiff as ad
 from melworld.autodiff import Tensor
 from melworld.training import sgd_update
+from melworld.world import sample_utterance_batch
 
 
 @pytest.fixture
@@ -47,8 +48,8 @@ def test_encode_style_rejects_empty(encoder):
 
 def test_untrained_encoder_separates_distant_speakers(encoder):
     world = mw.make_world(seed=7)
-    ref_a = mw.sample_utterance(world, 0, 0, [1, 2, 3, 4], seed=0).frames
-    ref_b = mw.sample_utterance(world, 1, 0, [1, 2, 3, 4], seed=0).frames
+    ref_a = sample_utterance_batch(world, [0], [0], [[1, 2, 3, 4]], np.random.default_rng(0))
+    ref_b = sample_utterance_batch(world, [1], [0], [[1, 2, 3, 4]], np.random.default_rng(0))
     assert not np.array_equal(encoder.encode(ref_a), encoder.encode(ref_b))
 
 
@@ -103,28 +104,29 @@ def test_gradient_step_touches_only_queried_rows(table):
 
 
 def test_generate_mu_repeated_tokens_identical_rows(generator, table):
-    s = np.random.default_rng(4).standard_normal(16)
-    mu = generator.generate([3, 3, 3], s, table.embed(1))
-    assert np.array_equal(mu[0], mu[1])
-    assert np.array_equal(mu[1], mu[2])
-    assert mu.shape == (3, 8)
+    s = np.random.default_rng(4).standard_normal((1, 16))
+    mu = generator.generate([[3, 3, 3]], s, table.embed(1)[None])
+    assert np.array_equal(mu[0, 0], mu[0, 1])
+    assert np.array_equal(mu[0, 1], mu[0, 2])
+    assert mu.shape == (1, 3, 8)
 
 
 def test_generate_mu_deterministic(generator, table):
-    s = np.random.default_rng(5).standard_normal(16)
-    a = generator.generate([0, 9, 2], s, table.embed(2))
-    b = generator.generate([0, 9, 2], s, table.embed(2))
+    s = np.random.default_rng(5).standard_normal((1, 16))
+    a = generator.generate([[0, 9, 2]], s, table.embed(2)[None])
+    b = generator.generate([[0, 9, 2]], s, table.embed(2)[None])
     assert np.array_equal(a, b)
 
 
 def test_generate_mu_rejects_empty_tokens(generator, table):
-    with pytest.raises(ValueError):
-        generator.generate([], np.zeros(16), table.embed(0))
+    with pytest.raises(ValueError, match="nonempty"):
+        generator.generate(np.zeros((1, 0), dtype=np.int64), np.zeros((1, 16)),
+                           table.embed(0)[None])
 
 
 def test_generate_mu_rejects_bad_token(generator, table):
-    with pytest.raises(ValueError):
-        generator.generate([10], np.zeros(16), table.embed(0))
+    with pytest.raises(ValueError, match="out of range"):
+        generator.generate([[10]], np.zeros((1, 16)), table.embed(0)[None])
 
 
 def test_batch_matches_single(generator, table):
@@ -134,16 +136,16 @@ def test_batch_matches_single(generator, table):
     tokens = np.array([[1, 2], [3, 4]])
     batch = generator.generate(tokens, s, e)
     for i in range(2):
-        single = generator.generate(tokens[i], s[i], e[i])
-        assert np.array_equal(batch[i], single)
+        single = generator.generate(tokens[i:i + 1], s[i:i + 1], e[i:i + 1])
+        assert np.array_equal(batch[i], single[0])
 
 
 def test_emotion_changes_mu_but_not_style(generator, table):
     # the architectural seam: emotion conditioning enters after the encoder
     encoder = mw.StyleEncoder(8, seed=9)
     frames = np.random.default_rng(7).standard_normal((5, 8))
-    s = encoder.encode(frames)
-    mu_a = generator.generate([1, 2], s, table.embed(1))
-    mu_b = generator.generate([1, 2], s, table.embed(2))
+    s = encoder.encode(frames)[None]
+    mu_a = generator.generate([[1, 2]], s, table.embed(1)[None])
+    mu_b = generator.generate([[1, 2]], s, table.embed(2)[None])
     assert not np.array_equal(mu_a, mu_b)
-    assert np.array_equal(s, encoder.encode(frames))
+    assert np.array_equal(s[0], encoder.encode(frames))

@@ -12,7 +12,7 @@ from melworld.training import (
     EmotionProbeHead,
     TrainingError,
     _probe_updates,
-    dat_step,
+    dat_loss_t,
     noisy_classifier_accuracy,
     sgd_update,
 )
@@ -36,7 +36,21 @@ def small_config(**kw):
 
 
 # ---------------------------------------------------------------------------
-# dat_step
+# the DAT step: the adversarial term of train_model's joint step
+
+
+def dat_grads(encoder, probe, frames, labels, alpha):
+    """Loss and gradient norms of the adversarial term alone, taken the way
+    the joint step takes them (the style from the encoder's graph path)."""
+    loss = dat_loss_t(probe, encoder.encode_t(Tensor(frames)), labels, alpha)
+    encoder.params.zero_grad()
+    probe.params.zero_grad()
+    loss.backward()
+    return {
+        "loss_e": float(loss.data),
+        "probe_grad_norm": float(np.sqrt(probe.params.grad_sq_norm())),
+        "encoder_grad_norm": float(np.sqrt(encoder.params.grad_sq_norm())),
+    }
 
 
 def test_dat_step_alpha_scaling(world):
@@ -45,10 +59,8 @@ def test_dat_step_alpha_scaling(world):
     rng = np.random.default_rng(0)
     frames = rng.standard_normal((6, 4, world.frame_dim))
     labels = rng.integers(0, world.n_emotions, size=6)
-    tiny = dat_step(encoder, probe, frames, labels, alpha=1e-9, lr=0.0,
-                    apply_update=False)
-    unit = dat_step(encoder, probe, frames, labels, alpha=1.0, lr=0.0,
-                    apply_update=False)
+    tiny = dat_grads(encoder, probe, frames, labels, alpha=1e-9)
+    unit = dat_grads(encoder, probe, frames, labels, alpha=1.0)
     assert tiny["encoder_grad_norm"] < 1e-6 * unit["encoder_grad_norm"]
     # probe gradient is unaffected by alpha
     assert tiny["probe_grad_norm"] == pytest.approx(unit["probe_grad_norm"], rel=1e-12)
@@ -72,8 +84,7 @@ def test_dat_step_encoder_grad_is_minus_alpha_times_plain(world):
 
     plain = plain_encoder_grads()
     for alpha in (0.25, 1.0, 4.0):
-        dat_step(encoder, probe, frames, labels, alpha=alpha, lr=0.0,
-                 apply_update=False)
+        dat_grads(encoder, probe, frames, labels, alpha=alpha)
         for name, tensor in encoder.params.tensors().items():
             assert np.array_equal(tensor.grad, -alpha * plain[name])
 
@@ -97,14 +108,6 @@ def test_dat_step_probe_descends(world):
     assert final < first
 
 
-def test_dat_step_requires_labels(world):
-    encoder = mw.StyleEncoder(world.frame_dim, seed=1)
-    probe = EmotionProbeHead(16, world.n_emotions, seed=2)
-    with pytest.raises(TrainingError):
-        dat_step(encoder, probe, np.zeros((0, 2, world.frame_dim)), np.zeros(0),
-                 alpha=1.0, lr=0.1)
-
-
 def test_dat_sign_property(world):
     # a step on L_e alone moves the encoder uphill and the probe downhill
     encoder = mw.StyleEncoder(world.frame_dim, seed=7)
@@ -114,14 +117,11 @@ def test_dat_sign_property(world):
     labels = rng.integers(0, world.n_emotions, size=16)
 
     def loss_value():
-        style = encoder.encode_t(Tensor(frames))
-        return float(ad.softmax_cross_entropy(
-            probe.logits_t(ad.grad_reverse(style, 1.0)), labels).data)
+        return float(dat_loss_t(probe, encoder.encode_t(Tensor(frames)), labels, 1.0).data)
 
     before = loss_value()
     # encoder-only update from the reversed loss
-    record = dat_step(encoder, probe, frames, labels, alpha=1.0, lr=0.0,
-                      apply_update=False)
+    record = dat_grads(encoder, probe, frames, labels, alpha=1.0)
     assert record["loss_e"] == pytest.approx(before)
     for tensor in encoder.params.tensors().values():
         tensor.data = tensor.data - 0.01 * tensor.grad
@@ -130,9 +130,7 @@ def test_dat_sign_property(world):
 
     probe.params.zero_grad()
     encoder.params.zero_grad()
-    style = encoder.encode_t(Tensor(frames))
-    loss = ad.softmax_cross_entropy(probe.logits_t(ad.grad_reverse(style, 1.0)), labels)
-    loss.backward()
+    dat_loss_t(probe, encoder.encode_t(Tensor(frames)), labels, 1.0).backward()
     for tensor in probe.params.tensors().values():
         tensor.data = tensor.data - 0.01 * tensor.grad
     assert loss_value() < after_encoder_step  # probe descends
@@ -309,16 +307,17 @@ def test_noisy_classifier_rejects_single_class(world, split):
 def test_noisy_classifier_grad_matches_finite_differences(world, clf_setup):
     clf = clf_setup.noisy_clf
     rng = np.random.default_rng(5)
-    y = rng.standard_normal((4, world.frame_dim))
+    y = rng.standard_normal((1, 4, world.frame_dim))
     t = 0.4
-    grad, _ = clf.grad_log_prob(y, t, 2)
+    grad, _ = clf.grad_log_prob(y, t, [2])
     eps = 1e-6
     num = np.zeros_like(y)
     for idx in np.ndindex(y.shape):
         yp, ym = y.copy(), y.copy()
         yp[idx] += eps
         ym[idx] -= eps
-        num[idx] = (np.log(clf.posterior(yp, t)[2]) - np.log(clf.posterior(ym, t)[2])) / (2 * eps)
+        num[idx] = (np.log(clf.posterior(yp, t)[0, 2])
+                    - np.log(clf.posterior(ym, t)[0, 2])) / (2 * eps)
     assert np.abs(grad - num).max() < 1e-6
 
 

@@ -12,6 +12,7 @@ from melworld.world import (
     _min_pairwise_distance,
     dump_world,
     load_world,
+    sample_utterance_batch,
     world_hash,
 )
 
@@ -69,36 +70,36 @@ def test_separation_failure_reports_resampling():
 def test_sample_utterance_noiseless_limit():
     w = mw.make_world(WorldConfig(tau=1e-9), seed=3)
     tokens = [0, 3, 7]
-    utt = mw.sample_utterance(w, 1, 1, tokens, seed=5)
+    frames = sample_utterance_batch(w, [1], [1], [tokens], np.random.default_rng(5))
     mean = mw.utterance_mean(w, 1, 1, tokens)
-    assert np.abs(utt.frames - mean).max() < 1e-7
+    assert np.abs(frames[0] - mean).max() < 1e-7
 
 
 def test_sample_utterance_mean_monte_carlo(world):
     tokens = [4]
     mean = mw.utterance_mean(world, 2, 1, tokens)[0]
     rng = np.random.default_rng(0)
-    frames = mw.world.sample_utterance_batch(
+    frames = sample_utterance_batch(
         world, np.full(10_000, 2), np.full(10_000, 1),
         np.full((10_000, 1), 4), rng)[:, 0, :]
     assert np.abs(frames.mean(axis=0) - mean).max() < 0.05
 
 
 def test_sample_utterance_deterministic(world):
-    a = mw.sample_utterance(world, 0, 2, [1, 2, 3], seed=9)
-    b = mw.sample_utterance(world, 0, 2, [1, 2, 3], seed=9)
-    assert np.array_equal(a.frames, b.frames)
+    a = sample_utterance_batch(world, [0], [2], [[1, 2, 3]], np.random.default_rng(9))
+    b = sample_utterance_batch(world, [0], [2], [[1, 2, 3]], np.random.default_rng(9))
+    assert np.array_equal(a, b)
 
 
-def test_sample_utterance_invalid_ids(world):
+def test_utterance_mean_invalid_ids(world):
     with pytest.raises(WorldError):
-        mw.sample_utterance(world, world.n_speakers, 0, [1], seed=0)
+        mw.utterance_mean(world, world.n_speakers, 0, [1])
     with pytest.raises(WorldError):
-        mw.sample_utterance(world, 0, world.n_emotions, [1], seed=0)
+        mw.utterance_mean(world, 0, world.n_emotions, [1])
     with pytest.raises(WorldError):
-        mw.sample_utterance(world, 0, 0, [world.vocab], seed=0)
+        mw.utterance_mean(world, 0, 0, [world.vocab])
     with pytest.raises(WorldError):
-        mw.sample_utterance(world, 0, 0, [], seed=0)
+        mw.utterance_mean(world, 0, 0, [])
 
 
 def test_neutral_emotion_adds_nothing(world):
