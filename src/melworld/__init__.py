@@ -3,8 +3,6 @@ closed-form oracles on a synthetic speakers-by-emotions world."""
 
 from .autodiff import (
     GraphError,
-    Graph,
-    GradcheckReport,
     ParamStore,
     Tensor,
     grad_reverse,

@@ -16,7 +16,6 @@ boundary with an error naming the offending node.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,8 +23,6 @@ __all__ = [
     "GraphError",
     "Tensor",
     "ParamStore",
-    "Graph",
-    "GradcheckReport",
     "gradcheck",
     "add",
     "sub",
@@ -53,18 +50,13 @@ _node_counter = itertools.count()
 
 class GraphError(Exception):
     """Raised for structural problems in a graph: shape mismatches,
-    non-finite intermediates, or misuse of the forward/backward protocol.
-    The message names the node where the problem occurred."""
+    non-finite intermediates, or backward from a non-scalar node. The
+    message names the node where the problem occurred."""
 
 
 def _check_finite(data: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(data)):
         raise GraphError(f"non-finite values in node '{name}'")
-
-
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
 
 
 class Tensor:
@@ -79,7 +71,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  _parents: tuple = (), _backward=None):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.name = name if name is not None else f"tensor#{next(_node_counter)}"
         _check_finite(self.data, self.name)
         self.grad: np.ndarray | None = None
@@ -89,15 +81,8 @@ class Tensor:
         self._nid = next(_node_counter)
 
     @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -107,25 +92,14 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def backward(self, output_grad=None) -> None:
-        """Run reverse-mode accumulation from this tensor.
-
-        A scalar tensor seeds its own gradient with 1.0; any other shape
-        requires an explicit ``output_grad`` of matching shape.
-        """
-        if output_grad is None:
-            if self.size != 1:
-                raise GraphError(
-                    f"backward on non-scalar node '{self.name}' requires an explicit output_grad")
-            seed = np.ones_like(self.data)
-        else:
-            seed = _as_array(output_grad)
-            if seed.shape != self.data.shape:
-                raise GraphError(
-                    f"output_grad shape {seed.shape} does not match node '{self.name}' "
-                    f"shape {self.data.shape}")
+    def backward(self) -> None:
+        """Run reverse-mode accumulation from this scalar tensor, which
+        seeds its own gradient with 1.0."""
+        if self.size != 1:
+            raise GraphError(f"backward needs a scalar node, '{self.name}' has shape "
+                             f"{self.data.shape}")
         nodes = _reachable(self)
-        self._accumulate(seed)
+        self._accumulate(np.ones_like(self.data))
         # Reverse construction order is a reverse topological order.
         for node in sorted(nodes, key=lambda n: n._nid, reverse=True):
             if node._backward is not None and node.grad is not None:
@@ -158,9 +132,8 @@ def _constant(value) -> Tensor:
 def _make(op: str, data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     name = f"{op}#{next(_node_counter)}"
     requires = any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires, name=name, _parents=parents,
-                 _backward=backward if requires else None)
-    return out
+    return Tensor(data, requires_grad=requires, name=name, _parents=parents,
+                  _backward=backward if requires else None)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -375,16 +348,14 @@ def symmetric_mean(x, axis: int) -> Tensor:
     return _make("symmetric_mean", out_data, (x,), backward)
 
 
-def tsum(x, axis: int | None = None) -> Tensor:
+def tsum(x) -> Tensor:
+    """Sum over all elements; scalar output."""
     x = _constant(x)
-    out_data = x.data.sum(axis=axis)
+    out_data = x.data.sum()
 
     def backward(g):
         if x.requires_grad:
-            if axis is None:
-                x._accumulate(np.broadcast_to(g, x.data.shape).copy())
-            else:
-                x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+            x._accumulate(np.broadcast_to(g, x.data.shape).copy())
 
     return _make("sum", out_data, (x,), backward)
 
@@ -396,10 +367,8 @@ def tmean(x, axis: int | None = None) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            if axis is None:
-                x._accumulate(np.broadcast_to(g / count, x.data.shape).copy())
-            else:
-                x._accumulate(np.broadcast_to(np.expand_dims(g / count, axis), x.data.shape).copy())
+            g = g if axis is None else np.expand_dims(g, axis)
+            x._accumulate(np.broadcast_to(g / count, x.data.shape).copy())
 
     return _make("mean", out_data, (x,), backward)
 
@@ -517,21 +486,12 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def tensors(self) -> dict[str, Tensor]:
         return dict(self._params)
 
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.zero_grad()
-
-    def n_entries(self) -> int:
-        return sum(t.size for t in self._params.values())
 
     def grad_sq_norm(self) -> float:
         total = 0.0
@@ -555,68 +515,7 @@ class ParamStore:
 
 
 # ---------------------------------------------------------------------------
-# function-graph wrapper and gradient checking
-
-
-class Graph:
-    """A computation defined by a function from named input tensors to outputs.
-
-    ``forward`` wraps the raw input arrays as differentiable leaves and runs
-    the function; ``backward`` then returns gradients with respect to those
-    inputs (parameter gradients accumulate in their ParamStore).
-    """
-
-    def __init__(self, fn, params: ParamStore | None = None):
-        self.fn = fn
-        self.params = params
-        self._inputs: dict[str, Tensor] | None = None
-        self._outputs: dict[str, Tensor] | None = None
-
-    def forward(self, inputs: dict) -> dict[str, Tensor]:
-        leaves = {
-            name: Tensor(value, requires_grad=True, name=name)
-            for name, value in inputs.items()
-        }
-        result = self.fn(leaves)
-        if isinstance(result, Tensor):
-            result = {"out": result}
-        if not isinstance(result, dict) or not all(isinstance(v, Tensor) for v in result.values()):
-            raise GraphError("graph function must return a Tensor or a dict of Tensors")
-        self._inputs = leaves
-        self._outputs = result
-        return result
-
-    def backward(self, output_grad=None) -> dict[str, np.ndarray]:
-        if self._outputs is None:
-            raise GraphError("backward called before forward")
-        if len(self._outputs) != 1:
-            raise GraphError("backward through a multi-output graph is not supported; "
-                             "reduce to a single output first")
-        (out,) = self._outputs.values()
-        if output_grad is None and out.size != 1:
-            raise GraphError(
-                f"non-scalar output '{out.name}' requires an explicit output_grad")
-        out.backward(output_grad)
-        return {
-            name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
-            for name, leaf in self._inputs.items()
-        }
-
-
-@dataclass
-class GradcheckReport:
-    """Per-parameter maximum relative error between analytic and
-    central-difference gradients."""
-
-    epsilon: float
-    per_param: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(self.per_param.values(), default=0.0)
-
-    def failures(self, tolerance: float) -> dict[str, float]:
-        return {k: v for k, v in self.per_param.items() if v >= tolerance}
+# gradient checking
 
 
 # relative-error denominator floor: entries below this magnitude are
@@ -630,51 +529,40 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def gradcheck(graph: Graph, inputs: dict, epsilon: float = 1e-5) -> GradcheckReport:
-    """Compare analytic gradients to central finite differences.
+def gradcheck(loss, params: ParamStore, epsilon: float = 1e-5) -> dict[str, float]:
+    """Maximum relative error per parameter of ``params`` between the
+    analytic gradient and central finite differences.
 
-    The graph must produce a single scalar output. Parameters are perturbed
-    in place and restored, so the check is pure. ``epsilon`` must lie in
-    (1e-8, 1e-3); outside that window central differences are dominated by
-    rounding or truncation error.
+    ``loss`` takes no arguments and returns a scalar Tensor; it is called
+    once for the analytic gradient and twice per parameter entry. Entries
+    are perturbed in place and restored, so the check is pure. ``epsilon``
+    must lie in (1e-8, 1e-3); outside that window central differences are
+    dominated by rounding or truncation error.
     """
     if not (1e-8 < epsilon < 1e-3):
         raise ValueError(f"epsilon must be in (1e-8, 1e-3), got {epsilon}")
-    outputs = graph.forward(inputs)
-    (out,) = outputs.values()
+    out = loss()
     if out.size != 1:
         raise GraphError(f"gradcheck requires a scalar output, got shape {out.data.shape}")
-    if graph.params is not None:
-        graph.params.zero_grad()
-    graph.backward()
-    analytic_params = {}
-    if graph.params is not None:
-        analytic_params = {
-            k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-            for k, t in graph.params.tensors().items()
-        }
-
-    def eval_scalar() -> float:
-        (o,) = graph.forward(inputs).values()
-        return float(o.data)
-
-    report = GradcheckReport(epsilon=epsilon)
-    if graph.params is not None:
-        for pname, tensor in graph.params.tensors().items():
-            numeric = np.zeros_like(tensor.data)
-            flat = tensor.data.reshape(-1)
-            num_flat = numeric.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + epsilon
-                f_plus = eval_scalar()
-                flat[i] = orig - epsilon
-                f_minus = eval_scalar()
-                flat[i] = orig
-                num_flat[i] = (f_plus - f_minus) / (2.0 * epsilon)
-            report.per_param[pname] = _rel_err(analytic_params[pname], numeric)
-        graph.params.zero_grad()
-    return report
+    params.zero_grad()
+    out.backward()
+    errors = {}
+    for pname, tensor in params.tensors().items():
+        analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        numeric = np.zeros_like(tensor.data)
+        flat = tensor.data.reshape(-1)
+        num_flat = numeric.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            f_plus = float(loss().data)
+            flat[i] = orig - epsilon
+            f_minus = float(loss().data)
+            flat[i] = orig
+            num_flat[i] = (f_plus - f_minus) / (2.0 * epsilon)
+        errors[pname] = _rel_err(analytic, numeric)
+    params.zero_grad()
+    return errors
 
 
 # ---------------------------------------------------------------------------

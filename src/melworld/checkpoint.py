@@ -58,7 +58,10 @@ def _read_exact(buf: io.BytesIO, n: int) -> bytes:
 
 def _read_str(buf: io.BytesIO) -> str:
     (n,) = struct.unpack("<H", _read_exact(buf, 2))
-    return _read_exact(buf, n).decode("utf-8")
+    try:
+        return _read_exact(buf, n).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError("checkpoint name is not UTF-8") from exc
 
 
 def dump_stores(stores: dict[str, ParamStore], meta: dict) -> bytes:
@@ -99,7 +102,10 @@ def load_stores(raw: bytes) -> tuple[dict[str, dict[str, np.ndarray]], dict[str,
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (meta_len,) = struct.unpack("<Q", _read_exact(buf, 8))
-    meta = json.loads(_read_exact(buf, meta_len).decode("utf-8"))
+    try:
+        meta = json.loads(_read_exact(buf, meta_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"checkpoint metadata is not valid JSON: {exc}") from exc
     (n_stores,) = struct.unpack("<I", _read_exact(buf, 4))
     states: dict[str, dict[str, np.ndarray]] = {}
     seeds: dict[str, int] = {}

@@ -26,7 +26,7 @@ from . import config as cfg
 from . import metrics as mx
 from .checkpoint import CheckpointError
 from .config import ConfigError, config_hash, mix_seed
-from .diffusion import NoiseSchedule
+from .diffusion import DiffusionError, NoiseSchedule
 from .metrics import EvalError
 from .training import Checkpoint, TrainingError, train_model, train_noisy_classifier
 from .world import (
@@ -117,6 +117,9 @@ def _eval_inputs(args):
     group = config["eval"]["group"]
     if group not in ("seen", "unseen"):
         raise ConfigError(f"eval.group must be 'seen' or 'unseen', got {group!r}")
+    for key in ("n_scripts", "n_samples", "script_len"):
+        if config["eval"][key] < 1:
+            raise ConfigError(f"eval.{key} must be >= 1, got {config['eval'][key]}")
     run_dir = _run_dir(config, args)
     ckpt, world = _checkpoint_and_world(config, args)
     speakers = getattr(_split(world, config), group)
@@ -182,6 +185,9 @@ def cmd_sample(args) -> int:
     s = config["sample"]
     if s["n"] < 1:
         raise ConfigError(f"sample.n must be >= 1, got {s['n']}")
+    if not s["tokens"] and config["eval"]["script_len"] < 1:
+        raise ConfigError(f"eval.script_len must be >= 1 without sample.tokens, "
+                          f"got {config['eval']['script_len']}")
     run_dir = _run_dir(config, args)
     ckpt, world = _checkpoint_and_world(config, args)
     speaker = world.check_speaker(s["speaker"])
@@ -319,7 +325,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (WorldError, TrainingError, EvalError, CheckpointError) as exc:
+    except (WorldError, TrainingError, EvalError, CheckpointError, DiffusionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

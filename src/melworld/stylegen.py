@@ -29,16 +29,17 @@ class StyleEncoder:
         ad.mlp_init(self.params, "net", sizes)
 
     def encode_t(self, frames: Tensor) -> Tensor:
-        """Graph path; frames (L, D) -> (style_dim,) or (n, L, D) -> (n, style_dim)."""
+        """Graph path; frames (n, L, D) -> (n, style_dim)."""
         h = ad.mlp_apply(self.params, "net", frames, self.n_layers)
         return ad.symmetric_mean(h, axis=-2)
 
     def encode(self, frames) -> np.ndarray:
-        """Style vector of a reference; permutation-invariant over rows, pure."""
+        """Style vector of each reference in a batch (n, L, D); invariant to
+        the order of each reference's frames, pure."""
         arr = np.asarray(frames, dtype=np.float64)
-        if arr.ndim not in (2, 3) or arr.shape[-1] != self.frame_dim:
-            raise ValueError(f"expected (L, {self.frame_dim}) or (n, L, {self.frame_dim}) "
-                             f"frames, got {arr.shape}")
+        if arr.ndim != 3 or arr.shape[-1] != self.frame_dim:
+            raise ValueError(f"expected a batch of frames (n, L, {self.frame_dim}), "
+                             f"got {arr.shape}")
         if arr.shape[-2] == 0:
             raise ValueError("reference frames must be nonempty")
         return self.encode_t(Tensor(arr)).data

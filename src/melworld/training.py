@@ -66,6 +66,12 @@ class ModelConfig:
     t_min: float = 1e-3  # lower time cutoff
     seed: int = 0  # parameter initialization seed
 
+    def __post_init__(self):
+        widths = (self.style_dim, self.emotion_dim, self.token_dim, self.hidden, self.clf_hidden)
+        if min(widths) < 1 or self.n_hidden < 0:
+            raise TrainingError("style_dim, emotion_dim, token_dim, hidden and clf_hidden "
+                                "must be >= 1 and n_hidden >= 0")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -268,14 +274,30 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Checkpoint":
+        """The checkpoint in ``raw``; ``CheckpointError`` unless its metadata
+        keys and its stores are exactly those that ``to_bytes`` writes."""
         states, _seeds, meta = ckpt_io.load_stores(raw)
-        mc = ModelConfig(**meta["model_config"])
-        tc = TrainConfig(**meta["train_config"])
-        model = build_model(SimpleNamespace(**meta["dims"]), mc)
+        _check_keys("metadata", meta, ("model_config", "train_config", "dims", "world_hash",
+                                       "step", "stores"))
+        mc = ModelConfig(**_check_keys("model_config", meta["model_config"], asdict(ModelConfig())))
+        tc = TrainConfig(**_check_keys("train_config", meta["train_config"], asdict(TrainConfig())))
+        dims = _check_keys("dims", meta["dims"], ("frame_dim", "vocab", "n_emotions"))
+        model = build_model(SimpleNamespace(**dims), mc)
+        _check_keys("store table", states, model.stores())
         for name, store in model.stores().items():
-            store.load_state_dict(states[name])
+            try:
+                store.load_state_dict(states[name])
+            except ValueError as exc:
+                raise ckpt_io.CheckpointError(f"checkpoint store '{name}': {exc}") from exc
         return cls(model=model, train_config=tc, world_hash=meta["world_hash"],
                    step=int(meta["step"]))
+
+
+def _check_keys(what: str, value, names) -> dict:
+    """``value``, which must be a mapping with exactly the keys ``names``."""
+    if not isinstance(value, dict) or set(value) != set(names):
+        raise ckpt_io.CheckpointError(f"checkpoint {what} keys differ from {sorted(names)}")
+    return value
 
 
 def _detach_rows(x: Tensor, mask: np.ndarray) -> Tensor:

@@ -56,6 +56,25 @@ def test_load_rejects_trailing_bytes():
         load_stores(raw + b"\x00")
 
 
+def test_load_rejects_non_utf8_name():
+    store = ad.ParamStore(1, "s")
+    store.add("w", (4,))
+    raw = dump_stores({"s": store}, {})
+    assert raw.count(b"\x01\x00w") == 1
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_stores(raw.replace(b"\x01\x00w", b"\x01\x00\xff"))
+
+
+def test_from_bytes_rejects_shapes_the_config_does_not_build():
+    world = mw.make_world(WorldConfig(), seed=7)
+    ckpt = mw.Checkpoint(model=mw.build_model(world), train_config=mw.TrainConfig(),
+                         world_hash="w", step=0)
+    raw = ckpt.to_bytes()
+    assert raw.count(b'"hidden":64') == 1
+    with pytest.raises(CheckpointError, match="shape mismatch"):
+        mw.Checkpoint.from_bytes(raw.replace(b'"hidden":64', b'"hidden":32'))
+
+
 def test_full_checkpoint_roundtrip():
     world = mw.make_world(WorldConfig(), seed=7)
     split = mw.split_speakers(world, 6, seed=0)

@@ -228,9 +228,14 @@ def test_sample_and_trajectory(trained_run, tmp_path, mode):
     assert len(trajectory) == 5
 
 
-# each damages a copy of the trained run's checkpoint or world file
+# each damages a copy of the trained run's checkpoint or world file; the
+# checkpoint's metadata JSON starts at byte 16, and the store table holds
+# each store name after its u16 length
 _CORRUPT = {
     "checkpoint": lambda raw: raw[:len(raw) // 2],
+    "checkpoint-json": lambda raw: raw[:16] + b"x" + raw[17:],
+    "checkpoint-key": lambda raw: raw.replace(b'"alpha"', b'"alphz"'),
+    "checkpoint-store": lambda raw: raw.replace(b"\x08\x00scorenet", b"\x08\x00scorenex"),
     "world-truncated": lambda raw: raw[:600],
     "world-header": lambda raw: re.sub(rb"(?m)^tau .*$", b"tau abc", raw),
     "world-entry": lambda raw: re.sub(rb"(speaker_base\n)\S+", rb"\1x", raw),
@@ -251,11 +256,24 @@ _CORRUPT = {
     ("gen-data", "run.seed=0", "world-truncated"),
     ("gen-data", "run.seed=0", "world-header"),
     ("gen-data", "run.seed=0", "world-entry"),
+    ("sample", "sample.steps=0", None),
+    ("train", "model.t_min=2", None),
+    ("sample", "sample.mode=cg sample.gamma=-1", None),
+    ("sample", "sample.n=1", "checkpoint-json"),
+    ("sample", "sample.n=1", "checkpoint-key"),
+    ("sample", "sample.n=1", "checkpoint-store"),
+    ("eval", "eval.n_scripts=0", None),
+    ("train", "model.hidden=0", None),
+    ("sample", "eval.script_len=0", None),
 ], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint",
         "sample-tokens", "sample-n", "sample-mode-comment", "train-batch-size",
-        "sample-speaker", "truncated-world", "world-header-value", "world-matrix-entry"])
+        "sample-speaker", "truncated-world", "world-header-value", "world-matrix-entry",
+        "sample-steps", "model-t-min", "cg-gamma", "checkpoint-meta-json",
+        "checkpoint-config-key", "checkpoint-store-name", "eval-n-scripts", "model-hidden",
+        "sample-script-len"])
 def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, setting,
                                              corrupt):
+    # ``setting`` holds one or more space-separated overrides
     files = {"checkpoint": trained_run / "checkpoint.bin", "world": trained_run / "world.txt"}
     if corrupt is not None:
         kind = corrupt.split("-")[0]
@@ -269,9 +287,11 @@ def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, set
         extra += ["--world", str(files["world"])]
     src = str(Path(mw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for override in setting.split():
+        extra += ["--set", override]
     proc = subprocess.run(
         [sys.executable, "-m", "melworld.cli", command, *extra,
-         "--outdir", str(tmp_path / "out"), "--set", setting,
+         "--outdir", str(tmp_path / "out"),
          "--set", "eval.n_samples=4", "--set", "eval.steps=2"],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 2, proc.stderr

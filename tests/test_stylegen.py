@@ -27,23 +27,23 @@ def generator():
 
 def test_encode_style_permutation_invariant_bitwise(encoder):
     rng = np.random.default_rng(0)
-    frames = rng.standard_normal((7, 8))
+    frames = rng.standard_normal((1, 7, 8))
     base = encoder.encode(frames)
     for _ in range(5):
-        shuffled = frames[rng.permutation(7)]
+        shuffled = frames[:, rng.permutation(7)]
         assert np.array_equal(encoder.encode(shuffled), base)
 
 
 def test_encode_style_single_row_equals_frame_output(encoder):
-    row = np.random.default_rng(1).standard_normal((1, 8))
+    row = np.random.default_rng(1).standard_normal((1, 1, 8))
     pooled = encoder.encode(row)
-    direct = ad.mlp_apply(encoder.params, "net", Tensor(row), encoder.n_layers).data[0]
+    direct = ad.mlp_apply(encoder.params, "net", Tensor(row), encoder.n_layers).data[:, 0]
     assert np.array_equal(pooled, direct)
 
 
 def test_encode_style_rejects_empty(encoder):
-    with pytest.raises(ValueError):
-        encoder.encode(np.zeros((0, 8)))
+    with pytest.raises(ValueError, match="nonempty"):
+        encoder.encode(np.zeros((1, 0, 8)))
 
 
 def test_untrained_encoder_separates_distant_speakers(encoder):
@@ -56,8 +56,8 @@ def test_untrained_encoder_separates_distant_speakers(encoder):
 def test_encoder_output_shape_independent_of_length(encoder):
     rng = np.random.default_rng(3)
     for length in (1, 4, 16):
-        s = encoder.encode(rng.standard_normal((length, 8)))
-        assert s.shape == (16,)
+        s = encoder.encode(rng.standard_normal((1, length, 8)))
+        assert s.shape == (1, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +143,9 @@ def test_batch_matches_single(generator, table):
 def test_emotion_changes_mu_but_not_style(generator, table):
     # the architectural seam: emotion conditioning enters after the encoder
     encoder = mw.StyleEncoder(8, seed=9)
-    frames = np.random.default_rng(7).standard_normal((5, 8))
-    s = encoder.encode(frames)[None]
+    frames = np.random.default_rng(7).standard_normal((1, 5, 8))
+    s = encoder.encode(frames)
     mu_a = generator.generate([[1, 2]], s, table.embed(1)[None])
     mu_b = generator.generate([[1, 2]], s, table.embed(2)[None])
     assert not np.array_equal(mu_a, mu_b)
-    assert np.array_equal(s[0], encoder.encode(frames))
+    assert np.array_equal(s, encoder.encode(frames))

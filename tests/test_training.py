@@ -1,11 +1,15 @@
 """Training orchestration: DAT mechanics, determinism, the noisy classifier."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import melworld as mw
 from melworld import autodiff as ad
+from melworld import cli
 from melworld.autodiff import Tensor
+from melworld.config import ConfigError
 from melworld.metrics import generate_eval_samples
 from melworld.stylegen import StyleEncoder
 from melworld.training import (
@@ -264,6 +268,16 @@ def test_config_validation():
     for field in ("steps", "clf_steps", "dat_probe_steps", "dat_probe_reinit"):
         with pytest.raises(TrainingError, match=field):
             mw.TrainConfig(**{field: -1})
+    for field in ("style_dim", "emotion_dim", "token_dim", "hidden", "clf_hidden"):
+        with pytest.raises(TrainingError, match=field):
+            mw.ModelConfig(**{field: 0})
+    with pytest.raises(TrainingError, match="n_hidden"):
+        mw.ModelConfig(n_hidden=-1)
+    mw.ModelConfig(n_hidden=0)
+    # the eval sizes are checked before a checkpoint is read
+    for key in ("n_scripts", "n_samples", "script_len"):
+        with pytest.raises(ConfigError, match=f"eval.{key}"):
+            cli._eval_inputs(SimpleNamespace(config=None, set=[f"eval.{key}=0"]))
 
 
 # ---------------------------------------------------------------------------
