@@ -9,8 +9,9 @@ Graphs are built define-by-run: every operation appends a node with a
 monotonically increasing id, so construction order is a topological order
 and the backward pass visits nodes in exact reverse construction order.
 That makes forward and backward results bitwise reproducible for identical
-inputs. All data is float64; non-finite values are rejected at every node
-boundary with an error naming the offending node.
+inputs. All data is float64; in a graph, non-finite values are rejected at
+every node boundary with an error naming the offending node. Inference
+builds no graph (:func:`mlp_eval`); samplers check finiteness per step.
 """
 
 from __future__ import annotations
@@ -584,4 +585,16 @@ def mlp_apply(store: ParamStore, prefix: str, x: Tensor, n_layers: int,
         h = affine(h, store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
         if i < n_layers - 1:
             h = activation(h)
+    return h
+
+
+def mlp_eval(store: ParamStore, prefix: str, x: np.ndarray, n_layers: int) -> np.ndarray:
+    """:func:`mlp_apply` (tanh) on the parameters' arrays, in place and with
+    no graph: the same operations in the same order, so bitwise equal."""
+    h = x
+    for i in range(n_layers):
+        h = h @ store[f"{prefix}.w{i}"].data
+        h += store[f"{prefix}.b{i}"].data
+        if i < n_layers - 1:
+            np.tanh(h, out=h)
     return h

@@ -19,7 +19,9 @@ Three sampling modes share that integrator: plain conditional, classifier
 guidance (score + gamma * grad log p(e|Y_t) from a classifier on noisy
 data, with the null-embedding unconditional path), and classifier-free
 guidance (eps_c + gamma * (eps_c - eps_u), with the matching null prior
-mean mu_null on the unconditional branch).
+mean mu_null on the unconditional branch), both branches in one score call
+per step. Samplers build no graph (but for CG's classifier gradient) and
+check once per step that Y stays finite and within a fixed distance of mu.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ class NoiseSchedule:
 
 # width of the skip-coefficient MLP g(t) in ScoreNet
 _SKIP_HIDDEN = 16
+# |y - mu| beyond which a sampler has diverged; the prior sd is 1
+_Y_LIMIT = 1e6
 
 
 def time_embedding(t) -> np.ndarray:
@@ -145,48 +149,53 @@ class ScoreNet:
         self.params.add("skip.w1", (_SKIP_HIDDEN, 1), init="zeros")
         self.params.add("skip.b1", (1,), init="zeros")
 
-    def _skip_coeff(self, t) -> Tensor:
-        """g(t) - sd(t) as an (n or 1, 1, 1) column, computed once per
+    def _inputs(self, y_t, t, mu, s, e_shape):
+        """What carries no gradient, after every shape check (e's by its shape
+        alone): the row blocks Y_t, time embedding, mu and s, each (n, L, ·);
+        then the skip term's time embedding, sd(t) and 1 / sd(t), once per
         distinct t (never per row, so identical rows stay bitwise identical)."""
-        temb = np.atleast_2d(time_embedding(t))
-        sd = np.sqrt(self.schedule.var(t)).reshape(-1, 1)
-        coeff = ad.sub(ad.mlp_apply(self.params, "skip", Tensor(temb), 2), Tensor(sd))
-        return ad.reshape(coeff, (-1, 1, 1))
-
-    def score_t(self, y_t: Tensor, t, mu: Tensor, s: Tensor, e: Tensor) -> Tensor:
-        """Graph-path score estimate, the noise prediction / sqrt(var(t)).
-
-        y_t and mu are (n, L, D), s is (n, style_dim) and e (n, emotion_dim);
-        t is one time or one per row.
-        """
-        shape = y_t.data.shape
+        shape = y_t.shape
         if len(shape) != 3:
             raise DiffusionError(f"expected Y_t of shape (n, L, D), got {shape}")
-        if mu.data.shape != shape:
-            raise DiffusionError(f"mu shape {mu.data.shape} does not match Y_t {shape}")
+        if mu.shape != shape:
+            raise DiffusionError(f"mu shape {mu.shape} does not match Y_t {shape}")
         if shape[-1] != self.frame_dim:
             raise DiffusionError(f"frame dim {shape[-1]} does not match net {self.frame_dim}")
         n, length, _ = shape
-        if s.data.shape != (n, self.style_dim) or e.data.shape != (n, self.emotion_dim):
+        if s.shape != (n, self.style_dim) or e_shape != (n, self.emotion_dim):
             raise DiffusionError(f"expected style ({n}, {self.style_dim}) and emotion "
-                                 f"({n}, {self.emotion_dim}), got {s.data.shape} and "
-                                 f"{e.data.shape}")
+                                 f"({n}, {self.emotion_dim}), got {s.shape} and {e_shape}")
         temb = time_embedding(t)
-        temb = np.broadcast_to(temb if temb.ndim == 1 else temb[:, None, :], (n, length, 5))
-        s_rows = ad.broadcast_to(ad.reshape(s, (n, 1, self.style_dim)),
-                                 (n, length, self.style_dim))
+        rows = [y_t, np.broadcast_to(temb if temb.ndim == 1 else temb[:, None, :], (n, length, 5)),
+                mu, np.broadcast_to(s[:, None, :], (n, length, self.style_dim))]
+        sd = np.sqrt(self.schedule.var(t)).reshape(-1, 1)
+        return rows, np.atleast_2d(temb), sd, (1.0 / sd).reshape(-1, 1, 1)
+
+    def score_t(self, y_t, t, mu, s, e: Tensor) -> Tensor:
+        """Graph-path score estimate, the noise prediction / sqrt(var(t)).
+
+        y_t and mu (n, L, D) and s (n, style_dim) are constants; a gradient
+        reaches e (n, emotion_dim). t is one time or one per row.
+        """
+        blocks, temb, sd, inv_sd = self._inputs(y_t, t, mu, s, e.data.shape)
+        n, length, _ = y_t.shape
         e_rows = ad.broadcast_to(ad.reshape(e, (n, 1, self.emotion_dim)),
                                  (n, length, self.emotion_dim))
-        rows = ad.concat([y_t, Tensor(temb.copy()), mu, s_rows, e_rows], axis=-1)
-        skip = ad.mul(ad.sub(y_t, mu), self._skip_coeff(t))
+        rows = ad.concat([Tensor(np.concatenate(blocks, axis=-1)), e_rows], axis=-1)
+        coeff = ad.sub(ad.mlp_apply(self.params, "skip", Tensor(temb), 2), Tensor(sd))
+        skip = ad.mul(Tensor(y_t - mu), ad.reshape(coeff, (-1, 1, 1)))
         noise = ad.add(skip, ad.mlp_apply(self.params, "net", rows, self.n_layers))
-        inv_sd = 1.0 / np.sqrt(self.schedule.var(t))
-        if np.ndim(inv_sd) == 1:
-            inv_sd = inv_sd[:, None, None]
         return ad.mul(noise, inv_sd)
 
     def __call__(self, y_t, t, mu, s, e_emb) -> np.ndarray:
-        return self.score_t(Tensor(y_t), t, Tensor(mu), Tensor(s), Tensor(e_emb)).data
+        """:meth:`score_t` on arrays, building no graph; bitwise the same."""
+        y_t, mu, s, e = (np.asarray(a, dtype=np.float64) for a in (y_t, mu, s, e_emb))
+        blocks, temb, sd, inv_sd = self._inputs(y_t, t, mu, s, e.shape)
+        blocks.append(np.broadcast_to(e[:, None, :], y_t.shape[:2] + (self.emotion_dim,)))
+        noise = ad.mlp_eval(self.params, "net", np.concatenate(blocks, axis=-1), self.n_layers)
+        noise += (y_t - mu) * (ad.mlp_eval(self.params, "skip", temb, 2) - sd).reshape(-1, 1, 1)
+        noise *= inv_sd
+        return noise
 
 
 def dsm_loss_t(scorenet: ScoreNet, y0: np.ndarray, mu, s, e_emb,
@@ -211,9 +220,9 @@ def dsm_loss_t(scorenet: ScoreNet, y0: np.ndarray, mu, s, e_emb,
 
     mu = np.asarray(mu, dtype=np.float64)
     # this grouping, not perturb's, fixes the trained bytes
-    y_t = Tensor(mu * (1.0 - rho) + (y0 * rho + sd * z))
+    y_t = mu * (1.0 - rho) + (y0 * rho + sd * z)
     e_t = e_emb if isinstance(e_emb, Tensor) else Tensor(e_emb)
-    eps = scorenet.score_t(y_t, t, Tensor(mu), Tensor(s), e_t)
+    eps = scorenet.score_t(y_t, t, mu, np.asarray(s, dtype=np.float64), e_t)
     resid = ad.sub(eps, Tensor(-z / sd))
     return ad.tmean(ad.mul(ad.mul(resid, resid), Tensor(np.broadcast_to(var, y0.shape).copy())))
 
@@ -275,6 +284,9 @@ def _integrate(score_fn, mu: np.ndarray, schedule: NoiseSchedule, steps: int,
     if steps < 1:
         raise DiffusionError(f"steps must be >= 1, got {steps}")
     y = mu + rng.standard_normal(mu.shape)
+    # y inside [lo, hi] keeps every |y - mu| within the limit; checking that
+    # allocates nothing, and NaN fails it
+    lo, hi = mu.max() - _Y_LIMIT, mu.min() + _Y_LIMIT
     h = schedule.T / steps
     for k in range(steps):
         t = max(schedule.T - k * h, schedule.t_min)
@@ -283,6 +295,11 @@ def _integrate(score_fn, mu: np.ndarray, schedule: NoiseSchedule, steps: int,
         y = y - h * beta * (0.5 * (mu - y) - score)
         if stochastic:
             y = y + np.sqrt(beta * h) * rng.standard_normal(y.shape)
+        if not (lo <= y.min() and y.max() <= hi):
+            dev = np.abs(y - mu).max()  # nan or inf where the score was not finite
+            if not dev <= _Y_LIMIT:
+                raise DiffusionError(f"sampler diverged at step {k} (t={t:.4g}): "
+                                     f"max |y - mu| = {dev:.3g}, limit {_Y_LIMIT:g}")
         if trajectory is not None:
             trajectory.append({
                 "step": k,
@@ -329,19 +346,18 @@ def sample_cfg(scorenet, generator, table, tokens, s, emotion_label,
     (n, style_dim).
 
     Builds the conditional prior mean mu = f(tokens, s, e) and the null-path
-    mu_null = f(tokens, s, null); each step combines the conditional and
-    unconditional score estimates. The drift and the prior draw use the
-    conditional mu.
+    mu_null = f(tokens, s, null); each step scores both paths in one call
+    on 2n rows and combines the two estimates. The drift and the prior draw
+    use the conditional mu.
     """
     tokens, s, targets, e_null, mu_null = _guided_inputs(
         generator, table, tokens, s, emotion_label)
     e_cond = table.params["emb"].data[table.row_indices(targets)]
     mu_cond = generator.generate(tokens, s, e_cond)
+    both = [np.concatenate(pair) for pair in ((mu_cond, mu_null), (s, s), (e_cond, e_null))]
 
     def score_fn(y, t):
-        eps_c = scorenet(y, t, mu_cond, s, e_cond)
-        eps_u = scorenet(y, t, mu_null, s, e_null)
-        return combine_cfg(eps_c, eps_u, gamma)
+        return combine_cfg(*np.split(scorenet(np.concatenate([y, y]), t, *both), 2), gamma)
 
     return _integrate(score_fn, mu_cond, schedule, steps, _rng(seed), stochastic, trajectory)
 

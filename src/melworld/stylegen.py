@@ -34,15 +34,17 @@ class StyleEncoder:
         return ad.symmetric_mean(h, axis=-2)
 
     def encode(self, frames) -> np.ndarray:
-        """Style vector of each reference in a batch (n, L, D); invariant to
-        the order of each reference's frames, pure."""
+        """Style vector of each reference in a batch (n, L, D): a sorted-order
+        mean, so invariant to the order of its frames; pure."""
         arr = np.asarray(frames, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[-1] != self.frame_dim:
             raise ValueError(f"expected a batch of frames (n, L, {self.frame_dim}), "
                              f"got {arr.shape}")
         if arr.shape[-2] == 0:
             raise ValueError("reference frames must be nonempty")
-        return self.encode_t(Tensor(arr)).data
+        h = ad.mlp_eval(self.params, "net", arr, self.n_layers)
+        h.sort(axis=-2)
+        return h.mean(axis=-2)
 
 
 class EmotionTable:
@@ -126,5 +128,10 @@ class Generator:
         return ad.mlp_apply(self.params, "net", rows, self.n_layers)
 
     def generate(self, tokens, style, emotion_emb) -> np.ndarray:
-        """Prior mean mu, one row per token; deterministic and pure."""
-        return self.generate_t(tokens, Tensor(style), Tensor(emotion_emb)).data
+        """Prior mean mu, one row per token; pure, bitwise the graph path's."""
+        toks = self._check_tokens(tokens)
+        (n, length), widths = toks.shape, (self.style_dim, self.emotion_dim)
+        rows = [self.params["tok"].data[toks]] + [
+            np.broadcast_to(np.reshape(cond, (n, 1, w)), (n, length, w))
+            for cond, w in zip((style, emotion_emb), widths)]
+        return ad.mlp_eval(self.params, "net", np.concatenate(rows, axis=-1), self.n_layers)

@@ -41,7 +41,7 @@ from scipy.special import softmax as np_softmax
 from . import autodiff as ad
 from . import checkpoint as ckpt_io
 from .autodiff import GraphError, ParamStore, Tensor
-from .diffusion import NoiseSchedule, ScoreNet, dsm_loss_t, perturb, time_embedding
+from .diffusion import DiffusionError, NoiseSchedule, ScoreNet, dsm_loss_t, perturb, time_embedding
 from .stylegen import EmotionTable, Generator, StyleEncoder
 from .world import NEUTRAL, World, SpeakerSplit, sample_utterance_batch, world_hash
 
@@ -128,8 +128,11 @@ class EmotionProbeHead:
     def logits_t(self, style: Tensor) -> Tensor:
         return ad.mlp_apply(self.params, "net", style, self.n_layers)
 
+    def logits(self, style) -> np.ndarray:
+        return ad.mlp_eval(self.params, "net", np.asarray(style, dtype=np.float64), self.n_layers)
+
     def posterior(self, style) -> np.ndarray:
-        return np_softmax(self.logits_t(Tensor(style)).data, axis=-1)
+        return np_softmax(self.logits(style), axis=-1)
 
 
 class NoisyClassifier:
@@ -148,28 +151,32 @@ class NoisyClassifier:
         self.params = ParamStore(seed, "noisy_clf")
         ad.mlp_init(self.params, "net", [frame_dim + 5] + [hidden] * n_hidden + [n_emotions])
 
-    def logits_t(self, y_t: Tensor, t, frozen: bool = False) -> Tensor:
-        """Logits of p(e | Y_t) for a batch (n, L, D) at one t or one t per
-        row; ``frozen`` takes the parameters as constants, so a backward
-        pass reaches the input only."""
-        if y_t.data.ndim != 3:
-            raise TrainingError(f"expected noisy frames (n, L, D), got shape {y_t.data.shape}")
-        pooled = ad.tmean(y_t, axis=-2)
-        temb = np.broadcast_to(time_embedding(t), (pooled.data.shape[0], 5)).copy()
-        x = ad.concat([pooled, Tensor(temb)], axis=-1)
-        params = ({name: p.data for name, p in self.params.tensors().items()}
-                  if frozen else self.params)
-        return ad.mlp_apply(params, "net", x, self.n_layers)
+    def _time_rows(self, y_t: np.ndarray, t) -> np.ndarray:
+        if y_t.ndim != 3:
+            raise TrainingError(f"expected noisy frames (n, L, D), got shape {y_t.shape}")
+        return np.broadcast_to(time_embedding(t), (y_t.shape[0], 5)).copy()
+
+    def _input_t(self, y_t: Tensor, t) -> Tensor:
+        temb = self._time_rows(y_t.data, t)
+        return ad.concat([ad.tmean(y_t, axis=-2), Tensor(temb)], axis=-1)
+
+    def logits_t(self, y_t: Tensor, t) -> Tensor:
+        """Logits of p(e | Y_t) for a batch (n, L, D) at one t or one t per row."""
+        return ad.mlp_apply(self.params, "net", self._input_t(y_t, t), self.n_layers)
 
     def posterior(self, y_t, t) -> np.ndarray:
-        return np_softmax(self.logits_t(Tensor(y_t), t).data, axis=-1)
+        y_t = np.asarray(y_t, dtype=np.float64)
+        temb = self._time_rows(y_t, t)
+        x = np.concatenate([y_t.mean(axis=-2), temb], axis=-1)
+        return np_softmax(ad.mlp_eval(self.params, "net", x, self.n_layers), axis=-1)
 
     def grad_log_prob(self, y_t, t, target) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of log p(target | Y_t) with respect to Y_t, one target
-        per row, and the posterior p(. | Y_t), from one forward pass; no
-        gradient reaches the classifier's parameters."""
+        per row, and the posterior p(. | Y_t), from one forward pass on the
+        parameters' arrays: Y_t is the graph's only leaf."""
         leaf = Tensor(y_t, requires_grad=True)
-        logits = self.logits_t(leaf, t, frozen=True)
+        arrays = {name: p.data for name, p in self.params.tensors().items()}
+        logits = ad.mlp_apply(arrays, "net", self._input_t(leaf, t), self.n_layers)
         loss = ad.softmax_cross_entropy(logits, np.asarray(target, dtype=np.int64))
         loss.backward()
         return -logits.data.shape[0] * leaf.grad, np_softmax(logits.data, axis=-1)
@@ -275,28 +282,41 @@ class Checkpoint:
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Checkpoint":
         """The checkpoint in ``raw``; ``CheckpointError`` unless its metadata
-        keys and its stores are exactly those that ``to_bytes`` writes."""
+        (keys, value types, ranges) and stores are those ``to_bytes`` writes."""
         states, _seeds, meta = ckpt_io.load_stores(raw)
         _check_keys("metadata", meta, ("model_config", "train_config", "dims", "world_hash",
                                        "step", "stores"))
-        mc = ModelConfig(**_check_keys("model_config", meta["model_config"], asdict(ModelConfig())))
-        tc = TrainConfig(**_check_keys("train_config", meta["train_config"], asdict(TrainConfig())))
-        dims = _check_keys("dims", meta["dims"], ("frame_dim", "vocab", "n_emotions"))
-        model = build_model(SimpleNamespace(**dims), mc)
-        _check_keys("store table", states, model.stores())
+        dims = _check_keys("dims", meta["dims"], dict(frame_dim=1, vocab=1, n_emotions=1), 1)
+        step = _check_keys("step", {"step": meta["step"]}, {"step": 0}, 0)["step"]
+        try:
+            mc = ModelConfig(**_check_keys("model_config", meta["model_config"],
+                                           asdict(ModelConfig())))
+            tc = TrainConfig(**_check_keys("train_config", meta["train_config"],
+                                           asdict(TrainConfig())))
+            model = build_model(SimpleNamespace(**dims), mc)
+        except (TrainingError, DiffusionError) as exc:
+            raise ckpt_io.CheckpointError(f"checkpoint config: {exc}") from exc
+        _check_keys("store table", states, tuple(model.stores()))
         for name, store in model.stores().items():
             try:
                 store.load_state_dict(states[name])
             except ValueError as exc:
                 raise ckpt_io.CheckpointError(f"checkpoint store '{name}': {exc}") from exc
-        return cls(model=model, train_config=tc, world_hash=meta["world_hash"],
-                   step=int(meta["step"]))
+        return cls(model=model, train_config=tc, world_hash=meta["world_hash"], step=step)
 
 
-def _check_keys(what: str, value, names) -> dict:
-    """``value``, which must be a mapping with exactly the keys ``names``."""
+def _check_keys(what: str, value, names, minimum=-np.inf) -> dict:
+    """``value``, which must be a mapping with exactly the keys ``names``; where
+    ``names`` maps them to defaults, a number of each default's kind (an int,
+    or a finite int or float) and at least ``minimum``."""
     if not isinstance(value, dict) or set(value) != set(names):
         raise ckpt_io.CheckpointError(f"checkpoint {what} keys differ from {sorted(names)}")
+    for key, default in (names.items() if isinstance(names, dict) else ()):
+        v = value[key]
+        kind = int if isinstance(default, int) else (int, float)
+        if isinstance(v, bool) or not isinstance(v, kind) or not minimum <= v < np.inf:
+            raise ckpt_io.CheckpointError(f"checkpoint {what} value {key}={v!r} is out of "
+                                          f"range or not a finite {type(default).__name__}")
     return value
 
 
@@ -341,8 +361,8 @@ def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainCo
     After the joint update the probe alone takes ``dat_probe_steps`` more
     updates on the post-update style, which is encoded once per step and
     held constant: only the probe changes between them. At w_dat = 0 nothing
-    reads the adversary, so these updates do not run; L_e is still computed
-    and logged, with no effect on any other store.
+    reads the adversary: L_e is logged from the probe's graph-free logits,
+    outside the joint graph, and the probe-only updates do not run.
     """
     if not split.seen:
         raise TrainingError("split has no seen speakers")
@@ -376,7 +396,10 @@ def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainCo
             mu_null = model.generator.generate(tokens, style.data, e_null)
             loss_dsm = ad.add(loss_dsm, dsm_loss_t(model.scorenet, frames, mu_null, style.data,
                                                    e_null, model.schedule, rng))
-            loss_dat = dat_loss_t(model.probe, style, emotions, config.alpha)
+            # at w_dat = 0, L_e is a constant: logged, outside the joint graph
+            loss_dat = (dat_loss_t(model.probe, style, emotions, config.alpha) if config.w_dat
+                        else ad.softmax_cross_entropy(Tensor(model.probe.logits(style.data)),
+                                                      emotions))
             total = ad.add(ad.add(ad.mul(loss_recon, config.w_recon),
                                   ad.mul(loss_dsm, config.w_dsm)),
                            ad.mul(loss_dat, config.w_dat))

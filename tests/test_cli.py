@@ -4,6 +4,7 @@ reproducibility."""
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -228,6 +229,18 @@ def test_sample_and_trajectory(trained_run, tmp_path, mode):
     assert len(trajectory) == 5
 
 
+def _edit_meta(pattern: bytes, repl: bytes):
+    """A damage that makes one regex substitution in the checkpoint's
+    metadata JSON, which starts at byte 16 after its u64 length, and writes
+    the new length."""
+    def edit(raw):
+        (n,) = struct.unpack("<Q", raw[8:16])
+        meta, count = re.subn(pattern, repl, raw[16:16 + n], count=1)
+        assert count == 1, pattern
+        return raw[:8] + struct.pack("<Q", len(meta)) + meta + raw[16 + n:]
+    return edit
+
+
 # each damages a copy of the trained run's checkpoint or world file; the
 # checkpoint's metadata JSON starts at byte 16, and the store table holds
 # each store name after its u16 length
@@ -236,6 +249,10 @@ _CORRUPT = {
     "checkpoint-json": lambda raw: raw[:16] + b"x" + raw[17:],
     "checkpoint-key": lambda raw: raw.replace(b'"alpha"', b'"alphz"'),
     "checkpoint-store": lambda raw: raw.replace(b"\x08\x00scorenet", b"\x08\x00scorenex"),
+    "checkpoint-hidden": _edit_meta(rb'"hidden":(\d+)', rb'"hidden":"\1"'),
+    "checkpoint-frame-dim": _edit_meta(rb'"frame_dim":\d+', b'"frame_dim":-1'),
+    "checkpoint-step": _edit_meta(rb'"step":\d+', b'"step":"x"'),
+    "checkpoint-steps": _edit_meta(rb'"steps":\d+', b'"steps":1.5'),
     "world-truncated": lambda raw: raw[:600],
     "world-header": lambda raw: re.sub(rb"(?m)^tau .*$", b"tau abc", raw),
     "world-entry": lambda raw: re.sub(rb"(speaker_base\n)\S+", rb"\1x", raw),
@@ -265,12 +282,18 @@ _CORRUPT = {
     ("eval", "eval.n_scripts=0", None),
     ("train", "model.hidden=0", None),
     ("sample", "eval.script_len=0", None),
+    ("sample", "sample.mode=cg sample.gamma=1e300", None),
+    ("sample", "sample.n=1", "checkpoint-hidden"),
+    ("sample", "sample.n=1", "checkpoint-frame-dim"),
+    ("sample", "sample.n=1", "checkpoint-step"),
+    ("sample", "sample.n=1", "checkpoint-steps"),
 ], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint",
         "sample-tokens", "sample-n", "sample-mode-comment", "train-batch-size",
         "sample-speaker", "truncated-world", "world-header-value", "world-matrix-entry",
         "sample-steps", "model-t-min", "cg-gamma", "checkpoint-meta-json",
         "checkpoint-config-key", "checkpoint-store-name", "eval-n-scripts", "model-hidden",
-        "sample-script-len"])
+        "sample-script-len", "cg-gamma-huge", "checkpoint-hidden-type",
+        "checkpoint-frame-dim", "checkpoint-step-type", "checkpoint-steps-float"])
 def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, setting,
                                              corrupt):
     # ``setting`` holds one or more space-separated overrides

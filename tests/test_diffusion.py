@@ -1,18 +1,20 @@
-"""Forward kernel, DSM loss, the three reverse samplers, and the batch-only
-contract of the model and sampler entry points."""
+"""Forward kernel, DSM loss, the three reverse samplers, the batch-only
+contract of the model and sampler entry points, and graph-free inference."""
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 import melworld as mw
 from melworld import autodiff as ad
+from melworld import metrics
 from melworld.autodiff import Tensor
 from melworld.diffusion import (
     DiffusionError,
     dsm_loss_t,
     time_embedding,
 )
-from melworld.training import TrainingError
+from melworld.training import NoisyClassifier, TrainingError
 from melworld.world import NEUTRAL, AnalyticNoisyClassifier, WorldConfig, sample_utterance_batch
 
 
@@ -242,6 +244,31 @@ def test_sample_reverse_deterministic(schedule):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("bad, match", [(np.inf, "step 3 .*= inf"), (np.nan, "step 3 .*= nan"),
+                                        (1e12, "step 3 .*= 1.\\d+e\\+12")])
+def test_sampler_guard_names_the_step(schedule, bad, match):
+    calls = []
+
+    def score(y, t, mu, s, e):
+        calls.append(t)
+        return np.full(y.shape, bad if len(calls) == 4 else 0.0)
+
+    with pytest.raises(DiffusionError, match=match):
+        mw.sample_reverse(score, np.zeros((2, 3, 4)), np.zeros((2, 1)), np.zeros((2, 1)),
+                          schedule, 10, seed=0)
+    assert len(calls) == 4
+
+
+def test_sampler_guard_allows_prior_means_far_apart(schedule):
+    # the cheap range test fails when mu spans more than twice the limit;
+    # the exact |y - mu| must then pass a chain that stays near its mean
+    mu = np.zeros((2, 3, 4))
+    mu[1] = 1.5e6
+    out = mw.sample_reverse(lambda y, t, mu, s, e: -(y - mu), mu, np.zeros((2, 1)),
+                            np.zeros((2, 1)), schedule, 10, seed=0)
+    assert np.abs(out - mu).max() < 10
+
+
 def test_sample_reverse_rejects_zero_steps(schedule):
     net = mw.ScoreNet(4, 16, 8, seed=0)
     with pytest.raises(DiffusionError):
@@ -446,3 +473,96 @@ def test_batch_only_entry_points_reject_unbatched_input(tiny_model):
     with pytest.raises(DiffusionError, match="n, L"):
         mw.sample_cg(model.scorenet, model.noisy_clf, model.generator, model.table, tokens,
                      s, 1, schedule, 2, 1.0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# graph-free inference (bitwise the graph paths)
+
+
+@pytest.fixture(scope="module")
+def random_model():
+    """A model whose every parameter is drawn at random, so that no zero
+    initialization hides a term from the parity checks."""
+    world = mw.make_world(seed=7)
+    model = mw.build_model(world)
+    rng = np.random.default_rng(11)
+    for store in model.stores().values():
+        for tensor in store.tensors().values():
+            tensor.data = 0.5 * rng.standard_normal(tensor.data.shape)
+    return world, model
+
+
+@pytest.mark.parametrize("n", [1, 200])
+@pytest.mark.parametrize("per_row_t", [False, True])
+def test_graph_free_entry_points_match_graph_paths(random_model, n, per_row_t):
+    world, model = random_model
+    rng = np.random.default_rng([n, per_row_t])
+    t = rng.uniform(0.01, 1.0, size=n) if per_row_t else 0.37
+    y, mu = rng.standard_normal((2, n, 8, world.frame_dim))
+    s = rng.standard_normal((n, model.config.style_dim))
+    e = rng.standard_normal((n, model.config.emotion_dim))
+    tokens = rng.integers(0, world.vocab, size=(n, 8))
+    net, clf = model.scorenet, model.noisy_clf
+    assert np.array_equal(net(y, t, mu, s, e), net.score_t(y, t, mu, s, Tensor(e)).data)
+    assert np.array_equal(model.encoder.encode(y), model.encoder.encode_t(Tensor(y)).data)
+    assert np.array_equal(model.generator.generate(tokens, s, e),
+                          model.generator.generate_t(tokens, Tensor(s), Tensor(e)).data)
+    assert np.array_equal(clf.posterior(y, t),
+                          softmax(clf.logits_t(Tensor(y), t).data, axis=-1))
+    assert np.array_equal(model.probe.logits(s), model.probe.logits_t(Tensor(s)).data)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 200])
+def test_batched_cfg_score_matches_two_calls(random_model, n):
+    # sample_cfg scores [y; y] against [mu_cond; mu_null] in one call
+    world, model = random_model
+    rng = np.random.default_rng(n)
+    y, mu_c, mu_u = rng.standard_normal((3, n, 8, world.frame_dim))
+    s = rng.standard_normal((n, model.config.style_dim))
+    e_c, e_u = rng.standard_normal((2, n, model.config.emotion_dim))
+    net = model.scorenet
+    for t in (1.0, 0.5, 0.013):
+        both = net(np.concatenate([y, y]), t, np.concatenate([mu_c, mu_u]),
+                   np.concatenate([s, s]), np.concatenate([e_c, e_u]))
+        assert np.array_equal(both[:n], net(y, t, mu_c, s, e_c))
+        assert np.array_equal(both[n:], net(y, t, mu_u, s, e_u))
+
+
+@pytest.mark.parametrize("mode", ["none", "cfg", "cg"])
+def test_samplers_build_a_graph_only_for_the_classifier_gradient(random_model, monkeypatch,
+                                                                 mode):
+    world, model = random_model
+    counts = {"clf": 0, "other": 0}
+    inside = []
+    init, grad_log_prob = Tensor.__init__, NoisyClassifier.grad_log_prob
+
+    def counting_init(self, *args, **kwargs):
+        counts["clf" if inside else "other"] += 1
+        init(self, *args, **kwargs)
+
+    def tracked(self, *args):
+        inside.append(1)
+        try:
+            return grad_log_prob(self, *args)
+        finally:
+            inside.pop()
+
+    calls, net = [], model.scorenet
+
+    def counting_score(*args):
+        calls.append(args[0].shape[0])
+        return net(*args)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    monkeypatch.setattr(NoisyClassifier, "grad_log_prob", tracked)
+    monkeypatch.setattr(model, "scorenet", counting_score)
+    rng = np.random.default_rng(2)
+    tokens = rng.integers(0, world.vocab, size=(3, 4))
+    styles = model.encoder.encode(rng.standard_normal((3, 4, world.frame_dim)))
+    frames = metrics.sample_frames(model, mode, tokens, styles, np.array([0, 1, 2]), 2.0, 5,
+                                   0, True)
+    assert frames.shape == (3, 4, world.frame_dim)
+    assert counts["other"] == 0
+    assert (counts["clf"] > 0) == (mode == "cg")
+    # one score call per step; classifier-free guidance stacks both branches
+    assert calls == [6 if mode == "cfg" else 3] * 5

@@ -226,19 +226,34 @@ def test_probe_updates_match_reencoding_every_update(world):
                               EmotionProbeHead(16, world.n_emotions, seed=2).params["net.w0"].data)
 
 
+# the logged L_e of the w_dat = 0 run below, as the probe's graph path gave
+# it inside the joint graph (a zero-weighted term) before the probe left it
+_NO_DAT_LOSS_E = [
+    "0x1.7dcd80477cc16p+0", "0x1.a100dbd2c9136p+0", "0x1.96405a7cdc98ep+0",
+    "0x1.8ae61a74044aap+0", "0x1.8a3fc190eb15cp+0", "0x1.b9a6063e5bd5cp+0",
+    "0x1.afda9150100a3p+0", "0x1.96ad4924de118p+0", "0x1.67e55ee9d42eap+0",
+    "0x1.8679e64cddec6p+0", "0x1.7cffdbe26d8cep+0", "0x1.b225a56423902p+0",
+]
+
+
 def test_no_dat_trains_no_adversary(world, split):
-    # at w_dat = 0 nothing reads the probe, so the probe-only updates do not
-    # run: their count leaves every store bitwise unchanged
+    # at w_dat = 0 nothing reads the probe: it stays out of the joint graph,
+    # so no backward reaches it, and the probe-only updates do not run, so
+    # their count leaves every store bitwise unchanged
     none = mw.train_model(world, split, small_config(steps=12, w_dat=0.0, dat_probe_steps=0,
                                                      dat_probe_reinit=5))
+    trace = []
     three = mw.train_model(world, split, small_config(steps=12, w_dat=0.0, dat_probe_steps=3,
-                                                      dat_probe_reinit=5))
+                                                      dat_probe_reinit=5), trace=trace)
     a, b = none.model.stores(), three.model.stores()
     assert len(a) == 6
     for name, store in a.items():
         other = b[name].state_dict()
         for pname, value in store.state_dict().items():
             assert np.array_equal(value, other[pname]), f"{name}.{pname}"
+    for name, tensor in three.model.probe.params.tensors().items():
+        assert tensor.grad is None, name
+    assert [record["dat"].hex() for record in trace] == _NO_DAT_LOSS_E
 
 
 @pytest.mark.parametrize("w_dat, per_step", [(0.5, 2), (0.0, 1)])
