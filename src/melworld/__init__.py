@@ -3,6 +3,7 @@ closed-form oracles on a synthetic speakers-by-emotions world."""
 
 from .autodiff import (
     GraphError,
+    MelworldError,
     ParamStore,
     Tensor,
     grad_reverse,

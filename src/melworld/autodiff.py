@@ -21,6 +21,7 @@ import itertools
 import numpy as np
 
 __all__ = [
+    "MelworldError",
     "GraphError",
     "Tensor",
     "ParamStore",
@@ -49,7 +50,12 @@ __all__ = [
 _node_counter = itertools.count()
 
 
-class GraphError(Exception):
+class MelworldError(Exception):
+    """Base of every melworld error: bad input or a run that cannot go on,
+    which the CLI reports in one line with exit code 2."""
+
+
+class GraphError(MelworldError):
     """Raised for structural problems in a graph: shape mismatches,
     non-finite intermediates, or backward from a non-scalar node. The
     message names the node where the problem occurred."""
@@ -588,13 +594,17 @@ def mlp_apply(store: ParamStore, prefix: str, x: Tensor, n_layers: int,
     return h
 
 
-def mlp_eval(store: ParamStore, prefix: str, x: np.ndarray, n_layers: int) -> np.ndarray:
+def mlp_eval(store: ParamStore, prefix: str, x: np.ndarray, n_layers: int,
+             hidden: list | None = None) -> np.ndarray:
     """:func:`mlp_apply` (tanh) on the parameters' arrays, in place and with
-    no graph: the same operations in the same order, so bitwise equal."""
+    no graph: the same operations in the same order, so bitwise equal.
+    ``hidden``, if given, receives each hidden layer's activation."""
     h = x
     for i in range(n_layers):
         h = h @ store[f"{prefix}.w{i}"].data
         h += store[f"{prefix}.b{i}"].data
         if i < n_layers - 1:
             np.tanh(h, out=h)
+            if hidden is not None:
+                hidden.append(h)
     return h

@@ -31,13 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ParamStore
+from .autodiff import MelworldError, ParamStore
 
 MAGIC = b"MWCP"
 VERSION = 1
 
 
-class CheckpointError(Exception):
+class CheckpointError(MelworldError):
     """Raised for malformed or truncated checkpoint data."""
 
 

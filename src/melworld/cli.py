@@ -24,15 +24,13 @@ import numpy as np
 
 from . import config as cfg
 from . import metrics as mx
-from .checkpoint import CheckpointError
+from .autodiff import MelworldError
 from .config import ConfigError, config_hash, mix_seed
-from .diffusion import DiffusionError, NoiseSchedule
-from .metrics import EvalError
-from .training import Checkpoint, TrainingError, train_model, train_noisy_classifier
+from .diffusion import NoiseSchedule
+from .training import Checkpoint, train_model, train_noisy_classifier
 from .world import (
     NEUTRAL,
     World,
-    WorldError,
     dump_world,
     load_world,
     make_world,
@@ -325,7 +323,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (WorldError, TrainingError, EvalError, CheckpointError, DiffusionError) as exc:
+    except MelworldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

@@ -24,11 +24,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import fields
 
+from .autodiff import MelworldError
 from .training import ModelConfig, TrainConfig
 from .world import WorldConfig
 
 
-class ConfigError(Exception):
+class ConfigError(MelworldError):
     """Raised for malformed configuration text or unknown keys."""
 
 

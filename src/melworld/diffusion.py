@@ -20,7 +20,7 @@ guidance (score + gamma * grad log p(e|Y_t) from a classifier on noisy
 data, with the null-embedding unconditional path), and classifier-free
 guidance (eps_c + gamma * (eps_c - eps_u), with the matching null prior
 mean mu_null on the unconditional branch), both branches in one score call
-per step. Samplers build no graph (but for CG's classifier gradient) and
+per step. Samplers build no graph, CG's classifier gradient included, and
 check once per step that Y stays finite and within a fixed distance of mu.
 """
 
@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Tensor
+from .autodiff import MelworldError, ParamStore, Tensor
 
 
-class DiffusionError(Exception):
+class DiffusionError(MelworldError):
     """Raised for invalid schedule/sampler arguments or shape mismatches."""
 
 
@@ -246,17 +246,18 @@ def combine_cfg(eps_cond, eps_uncond, gamma: float) -> np.ndarray:
 def _check_posterior(probs: np.ndarray) -> None:
     probs = np.asarray(probs)
     sums = probs.sum(axis=-1)
-    if np.any(probs < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-8):
+    # every comparison with NaN is False, so a NaN fails this test
+    if not (np.all(probs >= -1e-12) and np.all(np.abs(sums - 1.0) <= 1e-8)):
         raise DiffusionError("classifier output is not a valid distribution")
 
 
 def guided_score_cg(score_uncond, noisy_clf, y_t, t: float, target_e, gamma: float) -> np.ndarray:
     """Classifier guidance: score + gamma * grad log p(target | Y_t).
 
-    The classifier gradient comes from backpropagation through the
-    classifier input, and the posterior that is checked for validity comes
-    from the same forward pass; at gamma=0 the unconditional score is
-    returned untouched (bitwise).
+    The classifier gradient with respect to Y_t and the posterior that is
+    checked for validity come from the same forward pass (for the trained
+    classifier, a hand-written backward on its parameters' arrays); at
+    gamma=0 the unconditional score is returned untouched (bitwise).
     """
     if gamma < 0:
         raise DiffusionError(f"gamma must be >= 0, got {gamma}")

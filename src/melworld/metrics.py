@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import MelworldError, Tensor
 from .diffusion import sample_cfg, sample_cg, sample_reverse
 from .training import Checkpoint, EmotionProbeHead, Model, sgd_update
 from .world import NEUTRAL, World, sample_utterance_batch
 
 
-class EvalError(Exception):
+class EvalError(MelworldError):
     """Raised for malformed metric inputs."""
 
 

@@ -40,13 +40,13 @@ from scipy.special import softmax as np_softmax
 
 from . import autodiff as ad
 from . import checkpoint as ckpt_io
-from .autodiff import GraphError, ParamStore, Tensor
+from .autodiff import GraphError, MelworldError, ParamStore, Tensor
 from .diffusion import DiffusionError, NoiseSchedule, ScoreNet, dsm_loss_t, perturb, time_embedding
 from .stylegen import EmotionTable, Generator, StyleEncoder
 from .world import NEUTRAL, World, SpeakerSplit, sample_utterance_batch, world_hash
 
 
-class TrainingError(Exception):
+class TrainingError(MelworldError):
     """Raised on invalid training configuration or diverging runs."""
 
 
@@ -138,9 +138,9 @@ class EmotionProbeHead:
 class NoisyClassifier:
     """Emotion classifier on noisy frames: concat(row-pooled mean, time embedding).
 
-    Pooling keeps p(e | Y_t) a single distribution per utterance; the
-    gradient with respect to Y_t comes from backpropagation through the
-    classifier input.
+    Pooling keeps p(e | Y_t) a single distribution per utterance. Training
+    runs on the graph (``logits_t``); guidance, forward and backward, on the
+    parameters' arrays (``posterior``, ``grad_log_prob``).
     """
 
     def __init__(self, frame_dim: int, n_emotions: int, hidden: int = 64,
@@ -152,34 +152,54 @@ class NoisyClassifier:
         ad.mlp_init(self.params, "net", [frame_dim + 5] + [hidden] * n_hidden + [n_emotions])
 
     def _time_rows(self, y_t: np.ndarray, t) -> np.ndarray:
-        if y_t.ndim != 3:
-            raise TrainingError(f"expected noisy frames (n, L, D), got shape {y_t.shape}")
+        if y_t.ndim != 3 or y_t.shape[-1] != self.frame_dim:
+            raise TrainingError(f"expected frames (n, L, D={self.frame_dim}), got {y_t.shape}")
         return np.broadcast_to(time_embedding(t), (y_t.shape[0], 5)).copy()
 
     def _input_t(self, y_t: Tensor, t) -> Tensor:
         temb = self._time_rows(y_t.data, t)
         return ad.concat([ad.tmean(y_t, axis=-2), Tensor(temb)], axis=-1)
 
+    def _input(self, y_t: np.ndarray, t) -> np.ndarray:
+        temb = self._time_rows(y_t, t)
+        return np.concatenate([y_t.mean(axis=-2), temb], axis=-1)
+
     def logits_t(self, y_t: Tensor, t) -> Tensor:
         """Logits of p(e | Y_t) for a batch (n, L, D) at one t or one t per row."""
         return ad.mlp_apply(self.params, "net", self._input_t(y_t, t), self.n_layers)
 
     def posterior(self, y_t, t) -> np.ndarray:
-        y_t = np.asarray(y_t, dtype=np.float64)
-        temb = self._time_rows(y_t, t)
-        x = np.concatenate([y_t.mean(axis=-2), temb], axis=-1)
+        x = self._input(np.asarray(y_t, dtype=np.float64), t)
         return np_softmax(ad.mlp_eval(self.params, "net", x, self.n_layers), axis=-1)
 
     def grad_log_prob(self, y_t, t, target) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of log p(target | Y_t) with respect to Y_t, one target
-        per row, and the posterior p(. | Y_t), from one forward pass on the
-        parameters' arrays: Y_t is the graph's only leaf."""
-        leaf = Tensor(y_t, requires_grad=True)
-        arrays = {name: p.data for name, p in self.params.tensors().items()}
-        logits = ad.mlp_apply(arrays, "net", self._input_t(leaf, t), self.n_layers)
-        loss = ad.softmax_cross_entropy(logits, np.asarray(target, dtype=np.int64))
-        loss.backward()
-        return -logits.data.shape[0] * leaf.grad, np_softmax(logits.data, axis=-1)
+        per row, and the posterior p(. | Y_t). One forward pass and a
+        hand-written backward on the parameters' arrays, with no graph: the
+        operations of ``softmax_cross_entropy(logits_t(Y_t, t), target)`` and
+        of its backward in the same order, so bitwise equal to them."""
+        y_t = np.asarray(y_t, dtype=np.float64)
+        x = self._input(y_t, t)
+        n, length, dim = y_t.shape
+        target = np.asarray(target, dtype=np.int64)
+        if target.shape != (n,):
+            raise TrainingError(f"expected one target per row, shape ({n},), got {target.shape}")
+        bad = target[(target < 0) | (target >= self.n_emotions)]
+        if bad.size:
+            raise TrainingError(f"target {bad[0]} out of range [0, {self.n_emotions})")
+        hidden = []
+        logits = ad.mlp_eval(self.params, "net", x, self.n_layers, hidden)
+        p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        posterior = p.copy()
+        # d(mean cross-entropy)/d(logits), then back through each layer
+        p[np.arange(n), target] -= 1.0
+        g = (1.0 / n) * p
+        for i in reversed(range(self.n_layers)):
+            g = g @ self.params[f"net.w{i}"].data.T
+            if i:
+                g *= 1.0 - hidden[i - 1] * hidden[i - 1]
+        return -n * np.broadcast_to(g[:, None, :dim] / length, y_t.shape), posterior
 
 
 @dataclass

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, softmax
 
+from .autodiff import MelworldError
+
 NEUTRAL = 0
 
 _SPEAKER_SCALE = 1.0
@@ -45,7 +47,7 @@ _MAX_RESAMPLES = 1000
 _FORMAT_HEADER = "melworld world v1"
 
 
-class WorldError(Exception):
+class WorldError(MelworldError):
     """Raised for invalid world configurations or ids."""
 
 

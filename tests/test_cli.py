@@ -18,6 +18,7 @@ import melworld as mw
 from melworld import cli
 from melworld import config as cfg
 from melworld.cli import main
+from melworld.checkpoint import CheckpointError
 from melworld.config import ConfigError, mix_seed
 
 
@@ -170,6 +171,23 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     code = main(["gen-data", "--config", str(bad), "--outdir", str(tmp_path / "out")])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [mw.WorldError, mw.TrainingError, mw.DiffusionError,
+                                   mw.EvalError, CheckpointError, ConfigError,
+                                   mw.GraphError])
+def test_every_module_error_is_a_melworld_error(error):
+    assert issubclass(error, mw.MelworldError)
+
+
+def test_graph_error_exits_2_in_one_line(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise mw.GraphError("non-finite values in node 'affine#7'")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    assert main(["verify", "--outdir", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: non-finite values in node 'affine#7'\n"
 
 
 def test_missing_checkpoint_exits_3(tmp_path, capsys):

@@ -256,7 +256,9 @@ def test_no_dat_trains_no_adversary(world, split):
     assert [record["dat"].hex() for record in trace] == _NO_DAT_LOSS_E
 
 
-@pytest.mark.parametrize("w_dat, per_step", [(0.5, 2), (0.0, 1)])
+# the probe-only updates read a graph-free encode, so the joint graph's is
+# the one encode_t per step at either weight
+@pytest.mark.parametrize("w_dat, per_step", [(0.5, 1), (0.0, 1)])
 def test_style_encoded_at_most_twice_per_step(world, split, monkeypatch, w_dat, per_step):
     calls = []
     encode_t = StyleEncoder.encode_t
@@ -267,7 +269,7 @@ def test_style_encoded_at_most_twice_per_step(world, split, monkeypatch, w_dat, 
 
     monkeypatch.setattr(StyleEncoder, "encode_t", counting)
     mw.train_model(world, split, small_config(steps=4, w_dat=w_dat, dat_probe_steps=5))
-    assert len(calls) <= per_step * 4
+    assert len(calls) == per_step * 4
 
 
 def test_config_validation():
@@ -348,6 +350,22 @@ def test_noisy_classifier_grad_matches_finite_differences(world, clf_setup):
         num[idx] = (np.log(clf.posterior(yp, t)[0, 2])
                     - np.log(clf.posterior(ym, t)[0, 2])) / (2 * eps)
     assert np.abs(grad - num).max() < 1e-6
+
+
+def test_noisy_classifier_rejects_bad_frames_and_targets(world, clf_setup):
+    clf = clf_setup.noisy_clf
+    y = np.zeros((3, 4, world.frame_dim))
+    # the graph path's affine checked the frame width; the array paths must too
+    for call in (clf.posterior, lambda y_t, t: clf.grad_log_prob(y_t, t, [0, 1, 2])):
+        with pytest.raises(TrainingError, match=f"n, L, D={world.frame_dim}"):
+            call(y[..., :-1], 0.4)
+    with pytest.raises(TrainingError, match=r"shape \(3,\), got \(2,\)"):
+        clf.grad_log_prob(y, 0.4, [0, 1])
+    with pytest.raises(TrainingError, match=r"got \(\)"):
+        clf.grad_log_prob(y, 0.4, 1)
+    for bad in (-1, world.n_emotions):
+        with pytest.raises(TrainingError, match=f"target {bad} out of range"):
+            clf.grad_log_prob(y, 0.4, [0, bad, 1])
 
 
 def test_classifier_guidance_leaves_classifier_parameters_alone(world, split, clf_setup):
