@@ -22,7 +22,6 @@ from .diffusion import (
 )
 from .metrics import (
     EvalError,
-    EvalReport,
     EvalSample,
     content_error,
     eca_oracle,

@@ -583,14 +583,14 @@ def mlp_init(store: ParamStore, prefix: str, sizes: list[int]) -> None:
         store.add(f"{prefix}.b{i}", (n_out,), init="zeros")
 
 
-def mlp_apply(store: ParamStore, prefix: str, x: Tensor, n_layers: int,
-              activation=tanh) -> Tensor:
-    """Forward an MLP registered by :func:`mlp_init`; final layer is linear."""
+def mlp_apply(store: ParamStore, prefix: str, x: Tensor, n_layers: int) -> Tensor:
+    """Forward an MLP registered by :func:`mlp_init`: tanh hidden layers and
+    a linear final layer."""
     h = x
     for i in range(n_layers):
         h = affine(h, store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
         if i < n_layers - 1:
-            h = activation(h)
+            h = tanh(h)
     return h
 
 

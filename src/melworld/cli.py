@@ -29,12 +29,11 @@ from .config import ConfigError, config_hash, mix_seed
 from .diffusion import NoiseSchedule
 from .training import Checkpoint, train_model, train_noisy_classifier
 from .world import (
-    NEUTRAL,
     World,
     dump_world,
     load_world,
     make_world,
-    sample_utterance_batch,
+    neutral_references,
     split_speakers,
     world_hash,
 )
@@ -120,6 +119,9 @@ def _eval_inputs(args):
             raise ConfigError(f"eval.{key} must be >= 1, got {config['eval'][key]}")
     run_dir = _run_dir(config, args)
     ckpt, world = _checkpoint_and_world(config, args)
+    if config["eval"]["script_len"] > world.max_len:
+        raise ConfigError(f"eval.script_len {config['eval']['script_len']} exceeds the "
+                          f"world's max_len {world.max_len}")
     speakers = getattr(_split(world, config), group)
     return (config, run_dir, ckpt, world, speakers,
             mix_seed(config["run"]["seed"], config["eval"]["seed"]))
@@ -192,17 +194,14 @@ def cmd_sample(args) -> int:
     emotion = world.check_emotion(s["emotion"])
     seed = mix_seed(config["run"]["seed"], s["seed"])
     rng = np.random.default_rng([seed, 0x5A11])
-    if s["tokens"]:
-        tokens = world.check_tokens(s["tokens"])
-    else:
-        tokens = rng.integers(0, world.vocab, size=config["eval"]["script_len"])
+    # a drawn script obeys max_len like a given one
+    tokens = world.check_tokens(s["tokens"] or rng.integers(0, world.vocab,
+                                                            size=config["eval"]["script_len"]))
     model = ckpt.model
     records = []
     p_null_never_trained = ckpt.train_config.p_null == 0.0 and s["mode"] != "none"
     for i in range(s["n"]):
-        ref = sample_utterance_batch(world, [speaker], [NEUTRAL],
-                                     rng.integers(0, world.vocab, size=(1, tokens.size)), rng)
-        style = model.encoder.encode(ref)
+        style = model.encoder.encode(neutral_references(world, [speaker], tokens.size, rng))
         trajectory: list | None = [] if s["trajectory"] else None
         frames = mx.sample_frames(model, s["mode"], tokens[None], style,
                                   np.array([emotion]), s["gamma"], s["steps"],
@@ -242,15 +241,14 @@ def cmd_eval(args) -> int:
         "group": e["group"],
         "seed": seed,
     }
-    reports = [mx.EvalReport(metric, getattr(row, metric), row.n, fingerprint)
+    reports = [{"metric": metric, "value": getattr(row, metric), "n": row.n,
+                "fingerprint": fingerprint}
                for metric in ("eca", "content_error", "secs_mean_frame", "secs_style")]
     result = mx.SweepResult(rows=[row], fingerprint=fingerprint)
     (run_dir / "metrics.csv").write_text(result.to_csv(), encoding="utf-8")
-    with (run_dir / "report.jsonl").open("w", encoding="utf-8") as fh:
-        for report in reports:
-            fh.write(report.to_json() + "\n")
+    _write_jsonl(run_dir / "report.jsonl", reports)
     for report in reports:
-        print(f"{report.metric}: {report.value:.4f} (n={report.n})")
+        print(f"{report['metric']}: {report['value']:.4f} (n={report['n']})")
     return EXIT_OK
 
 

@@ -329,14 +329,15 @@ def sample_reverse(scorenet, mu, s, e_emb, schedule: NoiseSchedule, steps: int,
 
 def _guided_inputs(generator, table, tokens, s, emotion_label):
     """What both guided samplers build first: the token and style batches,
-    one target per row, the null embedding and the null-path prior mean."""
+    one range-checked target per row, the null embedding and the null-path
+    prior mean."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
         raise DiffusionError(f"expected a batch of tokens (n, L), got shape {tokens.shape}")
     s = np.asarray(s, dtype=np.float64)
     n = tokens.shape[0]
-    targets = np.broadcast_to(np.asarray(emotion_label, dtype=np.int64), (n,))
-    e_null = table.params["emb"].data[np.full(n, table.null_index, dtype=np.int64)]
+    targets = table.row_indices(np.broadcast_to(np.asarray(emotion_label, dtype=np.int64), (n,)))
+    e_null = table.embed_null(n)
     return tokens, s, targets, e_null, generator.generate(tokens, s, e_null)
 
 
@@ -353,7 +354,7 @@ def sample_cfg(scorenet, generator, table, tokens, s, emotion_label,
     """
     tokens, s, targets, e_null, mu_null = _guided_inputs(
         generator, table, tokens, s, emotion_label)
-    e_cond = table.params["emb"].data[table.row_indices(targets)]
+    e_cond = table.embed(targets)
     mu_cond = generator.generate(tokens, s, e_cond)
     both = [np.concatenate(pair) for pair in ((mu_cond, mu_null), (s, s), (e_cond, e_null))]
 

@@ -10,8 +10,7 @@ classifier can beat it on world-generated data beyond Monte-Carlo noise.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import MelworldError, Tensor
 from .diffusion import sample_cfg, sample_cg, sample_reverse
 from .training import Checkpoint, EmotionProbeHead, Model, sgd_update
-from .world import NEUTRAL, World, sample_utterance_batch
+from .world import World, condition_means, neutral_references, sample_utterance_batch
 
 
 class EvalError(MelworldError):
@@ -34,19 +33,6 @@ class EvalSample:
     target_emotion: int
     speaker: int
     tokens: np.ndarray
-
-
-@dataclass
-class EvalReport:
-    metric: str
-    value: float
-    n: int
-    fingerprint: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {"metric": self.metric, "value": self.value, "n": self.n,
-                   "fingerprint": self.fingerprint}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def checkpoint_hash(checkpoint: Checkpoint) -> str:
@@ -74,13 +60,6 @@ def _stack(world: World, samples: list[EvalSample], metric: str):
     return np.stack(frames), speakers, targets, np.stack(toks)
 
 
-def _condition_means(world: World, speakers, emotions, tokens) -> np.ndarray:
-    """World means base[speaker] + offset[emotion] + token_effect[token],
-    broadcast over the leading axes of the ids; shape (..., L, D)."""
-    return (world.speaker_base[speakers] + world.emotion_offset[emotions])[..., None, :] \
-        + world.token_effect[tokens]
-
-
 def eca_oracle(world: World, samples: list[EvalSample]) -> float:
     """Percentage of samples whose Bayes-optimal emotion equals the target.
 
@@ -89,8 +68,8 @@ def eca_oracle(world: World, samples: list[EvalSample]) -> float:
     rows, so its argmax is the emotion whose mean is nearest.
     """
     frames, speakers, targets, tokens = _stack(world, samples, "eca_oracle")
-    means = _condition_means(world, speakers[:, None], np.arange(world.n_emotions)[None, :],
-                             tokens[:, None])
+    means = condition_means(world, speakers[:, None], np.arange(world.n_emotions)[None, :],
+                            tokens[:, None])
     diff = frames[:, None] - means
     best = (diff * diff).sum(axis=(2, 3)).argmin(axis=1)
     return 100.0 * int((best == targets).sum()) / len(samples)
@@ -114,7 +93,7 @@ def content_error(samples: list[EvalSample], world: World) -> float:
     distribution average to frame_dim * tau^2.
     """
     frames, speakers, targets, tokens = _stack(world, samples, "content_error")
-    means = _condition_means(world, speakers, targets, tokens)
+    means = condition_means(world, speakers, targets, tokens)
     return float(np.mean(((frames - means) ** 2).sum(axis=2).mean(axis=1)))
 
 
@@ -160,8 +139,8 @@ def speaker_id_accuracy(world: World, samples: list[EvalSample]) -> float:
     residual is the speaker base nearest the pooled residual.
     """
     frames, speakers, targets, tokens = _stack(world, samples, "speaker_id_accuracy")
-    means = _condition_means(world, np.arange(world.n_speakers)[None, :], targets[:, None],
-                             tokens[:, None])
+    means = condition_means(world, np.arange(world.n_speakers)[None, :], targets[:, None],
+                            tokens[:, None])
     residual = (frames[:, None] - means).mean(axis=2)
     nearest = np.linalg.norm(residual, axis=-1).argmin(axis=1)
     return 100.0 * int((nearest == speakers).sum()) / len(samples)
@@ -183,7 +162,7 @@ def sample_frames(model: Model, mode: str, tokens, styles, emotions, gamma: floa
     emotions (n,) under one sampling mode: none (the conditional sampler),
     cfg or cg."""
     if mode == "none":
-        e_cond = model.table.params["emb"].data[emotions]
+        e_cond = model.table.embed(emotions)
         mu = model.generator.generate(tokens, styles, e_cond)
         return sample_reverse(model.scorenet, mu, styles, e_cond, model.schedule, steps,
                               seed, stochastic=stochastic, trajectory=trajectory)
@@ -217,9 +196,7 @@ def generate_eval_samples(model: Model, world: World, speakers, mode: str,
     spk = speakers[np.arange(n_samples) % speakers.size]
     targets = np.arange(n_samples) % world.n_emotions
     tokens = scripts[np.arange(n_samples) % n_scripts]
-    ref_tokens = rng.integers(0, world.vocab, size=(n_samples, script_len))
-    refs = sample_utterance_batch(world, spk, np.full(n_samples, NEUTRAL, dtype=np.int64),
-                                  ref_tokens, rng)
+    refs = neutral_references(world, spk, script_len, rng)
     styles = model.encoder.encode(refs)
     frames = sample_frames(model, mode, tokens, styles, targets, gamma, steps,
                            rng.integers(0, 2 ** 63 - 1), stochastic)

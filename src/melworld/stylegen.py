@@ -48,11 +48,9 @@ class StyleEncoder:
 
 
 class EmotionTable:
-    """Trainable emotion embeddings plus one distinguished null row.
-
-    ``None`` is the null sentinel; the null row is stored at index
-    ``n_emotions`` and is never aliased to a real emotion row.
-    """
+    """Trainable emotion embeddings plus one distinguished null row, stored
+    at index ``n_emotions`` and never aliased to a real emotion row. Every
+    lookup goes through the methods below; they own that row layout."""
 
     def __init__(self, n_emotions: int, dim: int = 8, seed: int = 0):
         self.n_emotions = n_emotions
@@ -64,16 +62,13 @@ class EmotionTable:
     def null_index(self) -> int:
         return self.n_emotions
 
-    def row_index(self, label) -> int:
-        if label is None:
-            return self.null_index
-        label = int(label)
-        if not 0 <= label < self.n_emotions:
-            raise ValueError(f"emotion label {label} out of range [0, {self.n_emotions})")
-        return label
-
     def row_indices(self, labels, null_mask=None) -> np.ndarray:
-        idx = np.array([self.row_index(lab) for lab in labels], dtype=np.int64)
+        """Table rows of emotion ids (n,), each range-checked; the null row
+        where ``null_mask`` is set."""
+        idx = np.asarray(labels, dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= self.n_emotions)]
+        if bad.size:
+            raise ValueError(f"emotion label {bad[0]} out of range [0, {self.n_emotions})")
         if null_mask is not None:
             idx = np.where(np.asarray(null_mask, dtype=bool), self.null_index, idx)
         return idx
@@ -81,9 +76,13 @@ class EmotionTable:
     def embed_t(self, indices) -> Tensor:
         return ad.gather_rows(self.params["emb"], np.asarray(indices, dtype=np.int64))
 
-    def embed(self, label) -> np.ndarray:
-        """Embedding row for an emotion id, or the null row for ``None``."""
-        return self.params["emb"].data[self.row_index(label)].copy()
+    def embed(self, labels) -> np.ndarray:
+        """Embedding rows of emotion ids (n,), shape (n, dim)."""
+        return self.params["emb"].data[self.row_indices(labels)]
+
+    def embed_null(self, n: int) -> np.ndarray:
+        """The null row, once per utterance: shape (n, dim)."""
+        return self.params["emb"].data[np.full(n, self.null_index)]
 
 
 class Generator:

@@ -43,7 +43,7 @@ from . import checkpoint as ckpt_io
 from .autodiff import GraphError, MelworldError, ParamStore, Tensor
 from .diffusion import DiffusionError, NoiseSchedule, ScoreNet, dsm_loss_t, perturb, time_embedding
 from .stylegen import EmotionTable, Generator, StyleEncoder
-from .world import NEUTRAL, World, SpeakerSplit, sample_utterance_batch, world_hash
+from .world import World, SpeakerSplit, neutral_references, sample_utterance_batch, world_hash
 
 
 class TrainingError(MelworldError):
@@ -303,7 +303,7 @@ class Checkpoint:
     def from_bytes(cls, raw: bytes) -> "Checkpoint":
         """The checkpoint in ``raw``; ``CheckpointError`` unless its metadata
         (keys, value types, ranges) and stores are those ``to_bytes`` writes."""
-        states, _seeds, meta = ckpt_io.load_stores(raw)
+        states, seeds, meta = ckpt_io.load_stores(raw)
         _check_keys("metadata", meta, ("model_config", "train_config", "dims", "world_hash",
                                        "step", "stores"))
         dims = _check_keys("dims", meta["dims"], dict(frame_dim=1, vocab=1, n_emotions=1), 1)
@@ -322,6 +322,8 @@ class Checkpoint:
                 store.load_state_dict(states[name])
             except ValueError as exc:
                 raise ckpt_io.CheckpointError(f"checkpoint store '{name}': {exc}") from exc
+            # a reinitialised probe was built from a seed of its own
+            store.seed = seeds[name]
         return cls(model=model, train_config=tc, world_hash=meta["world_hash"], step=step)
 
 
@@ -411,8 +413,7 @@ def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainCo
             loss_recon = ad.mse(mu, frames_t)
             loss_dsm = dsm_loss_t(model.scorenet, frames, mu.data, style.data, e_emb,
                                   model.schedule, rng)
-            e_null = model.table.params["emb"].data[
-                np.full(config.batch_size, model.table.null_index)]
+            e_null = model.table.embed_null(config.batch_size)
             mu_null = model.generator.generate(tokens, style.data, e_null)
             loss_dsm = ad.add(loss_dsm, dsm_loss_t(model.scorenet, frames, mu_null, style.data,
                                                    e_null, model.schedule, rng))
@@ -449,15 +450,12 @@ def _null_path_batch(world: World, model: Model, speakers, labels, tokens,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Clean frames of (speaker, label, tokens) rows and the null-path prior
     mean that classifier-guided sampling builds for them from a fresh
-    Neutral reference of the same speaker, the only reference material the
-    zero-shot protocol allows."""
+    Neutral reference of the same speaker."""
     n, length = tokens.shape
     y0 = sample_utterance_batch(world, speakers, labels, tokens, rng)
-    ref_tokens = rng.integers(0, world.vocab, size=(n, length))
-    refs = sample_utterance_batch(world, speakers, np.full(n, NEUTRAL, dtype=np.int64),
-                                  ref_tokens, rng)
-    e_null = model.table.params["emb"].data[np.full(n, model.table.null_index)]
-    return y0, model.generator.generate(tokens, model.encoder.encode(refs), e_null)
+    refs = neutral_references(world, speakers, length, rng)
+    return y0, model.generator.generate(tokens, model.encoder.encode(refs),
+                                        model.table.embed_null(n))
 
 
 def train_noisy_classifier(world: World, split: SpeakerSplit, model: Model,

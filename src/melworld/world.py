@@ -167,24 +167,35 @@ def make_world(config: WorldConfig = WorldConfig(), seed: int = 0) -> World:
     )
 
 
+def condition_means(world: World, speakers, emotions, tokens) -> np.ndarray:
+    """World means base[speaker] + offset[emotion] + token_effect[token],
+    broadcast over the leading axes of the ids; shape (..., L, D)."""
+    spk, emo, toks = (np.asarray(ids, dtype=np.int64) for ids in (speakers, emotions, tokens))
+    return (world.speaker_base[spk] + world.emotion_offset[emo])[..., None, :] \
+        + world.token_effect[toks]
+
+
 def utterance_mean(world: World, speaker: int, emotion: int, tokens) -> np.ndarray:
     """Analytic per-row mean, shape (L, frame_dim)."""
-    spk = world.check_speaker(speaker)
-    emo = world.check_emotion(emotion)
-    toks = world.check_tokens(tokens)
-    return (world.speaker_base[spk] + world.emotion_offset[emo])[None, :] \
-        + world.token_effect[toks]
+    return condition_means(world, world.check_speaker(speaker), world.check_emotion(emotion),
+                           world.check_tokens(tokens))
 
 
 def sample_utterance_batch(world: World, speakers, emotions, tokens,
                            rng: np.random.Generator) -> np.ndarray:
     """Vectorized frames for same-length token sequences, shape (n, L, D)."""
-    speakers = np.asarray(speakers, dtype=np.int64)
-    emotions = np.asarray(emotions, dtype=np.int64)
-    toks = np.asarray(tokens, dtype=np.int64)
-    means = (world.speaker_base[speakers] + world.emotion_offset[emotions])[:, None, :] \
-        + world.token_effect[toks]
+    means = condition_means(world, speakers, emotions, tokens)
     return means + world.tau * rng.standard_normal(means.shape)
+
+
+def neutral_references(world: World, speakers, length: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """One fresh Neutral utterance of each speaker (n,) over a random script
+    of ``length`` tokens, shape (n, length, D): the only reference material
+    the zero-shot protocol allows."""
+    speakers = np.asarray(speakers, dtype=np.int64)
+    tokens = rng.integers(0, world.vocab, size=(speakers.size, length))
+    return sample_utterance_batch(world, speakers, np.full(speakers.size, NEUTRAL), tokens, rng)
 
 
 def split_speakers(world: World, n_seen: int, seed: int) -> SpeakerSplit:
@@ -214,19 +225,16 @@ def _component_means(world: World, speakers, emotions, tokens, n_rows: int) -> n
     """Stack of per-component mean matrices, shape (C, L, D).
 
     When ``tokens`` is None the token contribution is omitted, i.e. the
-    component mean is constant across rows.
+    component mean is constant across rows, shape (C, 1, D).
     """
-    speakers = [world.check_speaker(s) for s in speakers]
-    emotions = [world.check_emotion(e) for e in emotions]
-    pairs = world.speaker_base[speakers][:, None, :] + world.emotion_offset[emotions][None, :, :]
-    if tokens is not None:
-        toks = world.check_tokens(tokens)
-        if toks.size != n_rows:
-            raise WorldError(f"tokens length {toks.size} does not match {n_rows} rows")
-        tok_part = world.token_effect[toks]
-    else:
-        tok_part = np.zeros((n_rows, world.frame_dim))
-    return pairs.reshape(-1, 1, world.frame_dim) + tok_part
+    spk = np.array([world.check_speaker(s) for s in speakers])[:, None]
+    emo = np.array([world.check_emotion(e) for e in emotions])[None, :]
+    if tokens is None:
+        return (world.speaker_base[spk] + world.emotion_offset[emo]).reshape(-1, 1, world.frame_dim)
+    toks = world.check_tokens(tokens)
+    if toks.size != n_rows:
+        raise WorldError(f"tokens length {toks.size} does not match {n_rows} rows")
+    return condition_means(world, spk, emo, toks).reshape(-1, n_rows, world.frame_dim)
 
 
 def _mixture(world: World, speaker_prior, emotion, mu, y_t, t: float, schedule,

@@ -152,7 +152,7 @@ def test_criterion_4_score_learning(acc_world):
     worst = max(errs.values())
     ok = worst < 0.15 and elapsed < 300
     report(4, ok, f"rel L2 err vs analytic score: worst {worst:.3f} < 0.15 over "
-                  f"t in {{0.1..1.0}} ({ {k: round(v, 3) for k, v in errs.items()} }, "
+                  f"t in {{0.1..1.0}} ({ {float(k): round(v, 3) for k, v in errs.items()} }, "
                   f"{elapsed:.0f}s)")
 
 
@@ -166,7 +166,7 @@ def test_criterion_5_sampler_reductions(acc_world, dat_checkpoint):
     ref = sample_utterance_batch(world, [0], [0], [[3, 4, 1]], np.random.default_rng(1))
     style = model.encoder.encode(ref)
 
-    e_cond = model.table.embed(2)[None]
+    e_cond = model.table.embed([2])
     mu_cond = model.generator.generate(tokens, style, e_cond)
     cfg0 = mw.sample_cfg(model.scorenet, model.generator, model.table, tokens,
                          style, 2, model.schedule, 50, 0.0, seed=3)
@@ -174,7 +174,7 @@ def test_criterion_5_sampler_reductions(acc_world, dat_checkpoint):
                              model.schedule, 50, seed=3)
     cfg_reduces = np.array_equal(cfg0, cond)
 
-    e_null = model.table.embed(None)[None]
+    e_null = model.table.embed_null(1)
     mu_null = model.generator.generate(tokens, style, e_null)
     clf = AnalyticNoisyClassifier(world, 0, tokens[0], mu_null[0], model.schedule)
     cg0 = mw.sample_cg(model.scorenet, clf, model.generator, model.table, tokens,

@@ -90,3 +90,15 @@ def test_full_checkpoint_roundtrip():
         for pname, tensor in store.tensors().items():
             assert np.array_equal(tensor.data, other[pname].data)
     assert loaded.to_bytes() == raw
+
+
+def test_roundtrip_keeps_a_reinitialised_probe_seed():
+    world = mw.make_world(WorldConfig(), seed=7)
+    split = mw.split_speakers(world, 6, seed=0)
+    ckpt = mw.train_model(world, split, mw.TrainConfig(steps=12, dat_probe_reinit=5,
+                                                       dat_probe_steps=1, batch_size=4))
+    assert ckpt.model.probe.params.seed == 10  # reinitialised at step 10
+    raw = ckpt.to_bytes()
+    loaded = mw.Checkpoint.from_bytes(raw)
+    assert loaded.model.probe.params.seed == 10
+    assert loaded.to_bytes() == raw

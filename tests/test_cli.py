@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import melworld as mw
 from melworld import cli
 from melworld import config as cfg
+from melworld import metrics as mx
 from melworld.cli import main
 from melworld.checkpoint import CheckpointError
 from melworld.config import ConfigError, mix_seed
@@ -305,13 +306,16 @@ _CORRUPT = {
     ("sample", "sample.n=1", "checkpoint-frame-dim"),
     ("sample", "sample.n=1", "checkpoint-step"),
     ("sample", "sample.n=1", "checkpoint-steps"),
+    ("sample", "eval.script_len=40", None),
+    ("eval", "eval.script_len=40", None),
 ], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint",
         "sample-tokens", "sample-n", "sample-mode-comment", "train-batch-size",
         "sample-speaker", "truncated-world", "world-header-value", "world-matrix-entry",
         "sample-steps", "model-t-min", "cg-gamma", "checkpoint-meta-json",
         "checkpoint-config-key", "checkpoint-store-name", "eval-n-scripts", "model-hidden",
         "sample-script-len", "cg-gamma-huge", "checkpoint-hidden-type",
-        "checkpoint-frame-dim", "checkpoint-step-type", "checkpoint-steps-float"])
+        "checkpoint-frame-dim", "checkpoint-step-type", "checkpoint-steps-float",
+        "sample-drawn-script-too-long", "eval-script-too-long"])
 def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, setting,
                                              corrupt):
     # ``setting`` holds one or more space-separated overrides
@@ -340,6 +344,18 @@ def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, set
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_scripts_longer_than_max_len_rejected_before_sampling(trained_run, tmp_path,
+                                                              monkeypatch, command):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking eval.script_len")
+
+    monkeypatch.setattr(mx, "sample_frames", no_sampling)
+    code = main([command, "--checkpoint", str(trained_run / "checkpoint.bin"),
+                 "--outdir", str(tmp_path / "out"), "--set", "eval.script_len=17"])
+    assert code == 2
+
+
 def test_sweep_row_count_and_reproducibility(trained_run, tmp_path):
     args = ["sweep", "--checkpoint", str(trained_run / "checkpoint.bin"),
             "--set", "eval.gammas=0,0.5,1.0,1.5,2.0",
@@ -360,8 +376,10 @@ def test_eval_reports(trained_run, tmp_path):
                  "--outdir", str(out), "--set", "eval.n_samples=4",
                  "--set", "eval.steps=5", "--set", "eval.mode=none"])
     assert code == 0
-    reports = [json.loads(line) for line in
-               (out / "report.jsonl").read_text().strip().split("\n")]
+    lines = (out / "report.jsonl").read_text().strip().split("\n")
+    reports = [json.loads(line) for line in lines]
+    # one compact, key-sorted record per line, so equal runs write equal bytes
+    assert lines == [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in reports]
     metrics = {r["metric"] for r in reports}
     assert {"eca", "content_error", "secs_mean_frame", "secs_style"} <= metrics
     assert all("fingerprint" in r and r["n"] == 4 for r in reports)

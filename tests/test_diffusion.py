@@ -406,7 +406,7 @@ def test_cfg_gamma_zero_reduces_to_conditional(tiny_model, stochastic):
     world, model = tiny_model
     tokens = np.array([[1, 5, 2]])
     s = model.encoder.encode(neutral_reference(world))
-    e = model.table.embed(2)[None]
+    e = model.table.embed([2])
     mu = model.generator.generate(tokens, s, e)
     a = mw.sample_cfg(model.scorenet, model.generator, model.table, tokens, s, 2,
                       model.schedule, 20, 0.0, seed=3, stochastic=stochastic)
@@ -420,7 +420,7 @@ def test_cg_gamma_zero_reduces_to_unconditional(tiny_model, stochastic):
     world, model = tiny_model
     tokens = np.array([[1, 5, 2]])
     s = model.encoder.encode(neutral_reference(world))
-    e_null = model.table.embed(None)[None]
+    e_null = model.table.embed_null(1)
     mu_null = model.generator.generate(tokens, s, e_null)
     clf = AnalyticNoisyClassifier(world, 0, tokens[0], mu_null[0], model.schedule)
     a = mw.sample_cg(model.scorenet, clf, model.generator, model.table, tokens, s, 1,
@@ -481,7 +481,7 @@ def test_batch_only_entry_points_reject_unbatched_input(tiny_model):
     with pytest.raises(DiffusionError, match="n, L, D"):
         model.scorenet(y, 0.5, mu, s, np.zeros(8))
     with pytest.raises(ValueError, match="n, L"):
-        model.generator.generate(tokens, s, model.table.embed(1))
+        model.generator.generate(tokens, s, model.table.embed([1])[0])
     with pytest.raises(TrainingError, match="n, L, D"):
         model.noisy_clf.posterior(y, 0.5)
     with pytest.raises(TrainingError, match="n, L, D"):
@@ -585,3 +585,15 @@ def test_samplers_build_no_graph(random_model, monkeypatch, mode):
     assert tensors == []
     # one score call per step; classifier-free guidance stacks both branches
     assert calls == [6 if mode == "cfg" else 3] * 5
+
+
+@pytest.mark.parametrize("mode", ["none", "cfg", "cg"])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_sample_frames_rejects_emotion_out_of_range(random_model, mode, bad):
+    # emotion n_emotions is the null row's index, and -1 would wrap to it
+    world, model = random_model
+    rng = np.random.default_rng(3)
+    tokens = rng.integers(0, world.vocab, size=(2, 4))
+    styles = model.encoder.encode(rng.standard_normal((2, 4, world.frame_dim)))
+    with pytest.raises(ValueError, match=f"emotion label {bad} out of range \\[0, 4\\)"):
+        metrics.sample_frames(model, mode, tokens, styles, np.array([1, bad]), 2.0, 2, 0, True)

@@ -7,7 +7,6 @@ import pytest
 import melworld as mw
 from melworld.metrics import (
     EvalError,
-    EvalReport,
     EvalSample,
     collect_style_vectors,
     evaluate_cell,
@@ -229,8 +228,3 @@ def test_collect_style_vectors_and_tsv(world, ckpt):
     assert len(lines) == 1 + vectors.shape[0]
     assert lines[0].startswith("emotion\ts0")
 
-
-def test_eval_report_json_stable():
-    report = EvalReport("eca", 51.5, 200, {"gamma": 1.25, "seed": 0})
-    assert report.to_json() == report.to_json()
-    assert '"metric":"eca"' in report.to_json()

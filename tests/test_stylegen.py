@@ -64,26 +64,33 @@ def test_encoder_output_shape_independent_of_length(encoder):
 # emotion table
 
 
-def test_null_sentinel_returns_null_row(table):
-    assert np.array_equal(table.embed(None),
-                          table.params["emb"].data[table.null_index])
+def test_embed_null_returns_null_row(table):
+    assert np.array_equal(table.embed_null(3),
+                          np.tile(table.params["emb"].data[table.null_index], (3, 1)))
 
 
 def test_embed_deterministic(table):
-    assert np.array_equal(table.embed(2), table.embed(2))
+    assert np.array_equal(table.embed([2, 0, 2]), table.embed([2, 0, 2]))
+    assert np.array_equal(table.embed([2, 0, 2])[2], table.params["emb"].data[2])
 
 
 def test_embed_rejects_invalid_id(table):
-    with pytest.raises(ValueError):
-        table.embed(4)
-    with pytest.raises(ValueError):
-        table.embed(-1)
+    for labels, bad in (([4], 4), ([-1], -1), ([0, 2, 4], 4), ([3, -1], -1)):
+        with pytest.raises(ValueError, match=f"emotion label {bad} out of range"):
+            table.embed(labels)
+        with pytest.raises(ValueError, match=f"emotion label {bad} out of range"):
+            table.row_indices(labels, np.ones(len(labels), dtype=bool))
+
+
+def test_row_indices_put_the_null_row_where_masked(table):
+    idx = table.row_indices(np.array([0, 3, 1, 2]), [False, True, False, True])
+    assert idx.tolist() == [0, table.null_index, 1, table.null_index]
 
 
 def test_null_row_never_aliases_real_rows(table):
-    null_row = table.embed(None)
+    null_row = table.embed_null(1)[0]
     for e in range(4):
-        assert not np.array_equal(null_row, table.embed(e))
+        assert not np.array_equal(null_row, table.embed([e])[0])
 
 
 def test_gradient_step_touches_only_queried_rows(table):
@@ -105,7 +112,7 @@ def test_gradient_step_touches_only_queried_rows(table):
 
 def test_generate_mu_repeated_tokens_identical_rows(generator, table):
     s = np.random.default_rng(4).standard_normal((1, 16))
-    mu = generator.generate([[3, 3, 3]], s, table.embed(1)[None])
+    mu = generator.generate([[3, 3, 3]], s, table.embed([1]))
     assert np.array_equal(mu[0, 0], mu[0, 1])
     assert np.array_equal(mu[0, 1], mu[0, 2])
     assert mu.shape == (1, 3, 8)
@@ -113,26 +120,26 @@ def test_generate_mu_repeated_tokens_identical_rows(generator, table):
 
 def test_generate_mu_deterministic(generator, table):
     s = np.random.default_rng(5).standard_normal((1, 16))
-    a = generator.generate([[0, 9, 2]], s, table.embed(2)[None])
-    b = generator.generate([[0, 9, 2]], s, table.embed(2)[None])
+    a = generator.generate([[0, 9, 2]], s, table.embed([2]))
+    b = generator.generate([[0, 9, 2]], s, table.embed([2]))
     assert np.array_equal(a, b)
 
 
 def test_generate_mu_rejects_empty_tokens(generator, table):
     with pytest.raises(ValueError, match="nonempty"):
         generator.generate(np.zeros((1, 0), dtype=np.int64), np.zeros((1, 16)),
-                           table.embed(0)[None])
+                           table.embed([0]))
 
 
 def test_generate_mu_rejects_bad_token(generator, table):
     with pytest.raises(ValueError, match="out of range"):
-        generator.generate([[10]], np.zeros((1, 16)), table.embed(0)[None])
+        generator.generate([[10]], np.zeros((1, 16)), table.embed([0]))
 
 
 def test_batch_matches_single(generator, table):
     rng = np.random.default_rng(6)
     s = rng.standard_normal((2, 16))
-    e = np.stack([table.embed(0), table.embed(3)])
+    e = table.embed([0, 3])
     tokens = np.array([[1, 2], [3, 4]])
     batch = generator.generate(tokens, s, e)
     for i in range(2):
@@ -145,7 +152,7 @@ def test_emotion_changes_mu_but_not_style(generator, table):
     encoder = mw.StyleEncoder(8, seed=9)
     frames = np.random.default_rng(7).standard_normal((1, 5, 8))
     s = encoder.encode(frames)
-    mu_a = generator.generate([[1, 2]], s, table.embed(1)[None])
-    mu_b = generator.generate([[1, 2]], s, table.embed(2)[None])
+    mu_a = generator.generate([[1, 2]], s, table.embed([1]))
+    mu_b = generator.generate([[1, 2]], s, table.embed([2]))
     assert not np.array_equal(mu_a, mu_b)
     assert np.array_equal(s, encoder.encode(frames))

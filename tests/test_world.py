@@ -10,8 +10,10 @@ from melworld.world import (
     WorldConfig,
     WorldError,
     _min_pairwise_distance,
+    condition_means,
     dump_world,
     load_world,
+    neutral_references,
     sample_utterance_batch,
     world_hash,
 )
@@ -107,6 +109,26 @@ def test_neutral_emotion_adds_nothing(world):
     mean = mw.utterance_mean(world, 3, NEUTRAL, tokens)
     expected = world.speaker_base[3][None, :] + world.token_effect[[2, 5]]
     assert np.array_equal(mean, expected)
+
+
+def test_condition_means_broadcast_over_id_axes(world):
+    tokens = np.array([[1, 4, 4], [0, 9, 2]])
+    means = condition_means(world, np.array([[3], [5]]), np.arange(world.n_emotions)[None, :],
+                            tokens[:, None])
+    assert means.shape == (2, world.n_emotions, 3, world.frame_dim)
+    for i, speaker in enumerate((3, 5)):
+        for emotion in range(world.n_emotions):
+            assert np.array_equal(means[i, emotion],
+                                  mw.utterance_mean(world, speaker, emotion, tokens[i]))
+
+
+def test_neutral_references_draw_script_then_frames(world):
+    # the draw order is part of every seeded artifact's bytes
+    refs = neutral_references(world, [2, 7, 2], 5, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    tokens = rng.integers(0, world.vocab, size=(3, 5))
+    expected = sample_utterance_batch(world, [2, 7, 2], [NEUTRAL] * 3, tokens, rng)
+    assert np.array_equal(refs, expected)
 
 
 # ---------------------------------------------------------------------------
