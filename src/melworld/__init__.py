@@ -30,7 +30,7 @@ from .metrics import (
     secs_analog,
     speaker_id_accuracy,
 )
-from .stylegen import EmotionTable, Generator, StyleEncoder
+from .stylegen import EmotionTable, Generator, StyleEncoder, StyleError
 from .training import (
     Checkpoint,
     EmotionProbeHead,

@@ -5,8 +5,10 @@ Layout (all integers little-endian, data float64 little-endian, row-major):
     magic        4 bytes   b"MWCP"
     version      u32       currently 1
     meta_len     u64       length of the metadata blob
-    meta         bytes     UTF-8 JSON: {"config": {...}, "world_hash": str,
-                           "step": int, "stores": [store names in order]}
+    meta         bytes     UTF-8 JSON: {"model_config": {...}, "train_config":
+                           {...}, "dims": {"frame_dim", "vocab", "n_emotions"},
+                           "world_hash": str, "step": int,
+                           "stores": [store names in order]}
     n_stores     u32
     per store:
         name_len u16, name bytes (UTF-8)
@@ -26,7 +28,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +54,8 @@ def _write_str(buf: io.BytesIO, s: str) -> None:
 
 
 def _read_exact(buf: io.BytesIO, n: int) -> bytes:
-    raw = buf.read(n)
+    # a damaged length may be too large for BytesIO.read to take
+    raw = buf.read(n) if n <= sys.maxsize else b""
     if len(raw) != n:
         raise CheckpointError("truncated checkpoint data")
     return raw
@@ -118,9 +123,11 @@ def load_stores(raw: bytes) -> tuple[dict[str, dict[str, np.ndarray]], dict[str,
             pname = _read_str(buf)
             (ndim,) = struct.unpack("<B", _read_exact(buf, 1))
             dims = struct.unpack(f"<{ndim}I", _read_exact(buf, 4 * ndim)) if ndim else ()
-            count = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(_read_exact(buf, 8 * count), dtype="<f8")
-            state[pname] = data.reshape(dims).astype(np.float64)
+            data = np.frombuffer(_read_exact(buf, 8 * math.prod(dims)), dtype="<f8")
+            try:
+                state[pname] = data.reshape(dims).astype(np.float64)
+            except ValueError as exc:  # more dims than numpy supports
+                raise CheckpointError(f"checkpoint parameter '{pname}': {exc}") from exc
         states[store_name] = state
         seeds[store_name] = seed
     if buf.read(1):

@@ -6,9 +6,10 @@
 Subcommands: gen-data, train, train-clf, sample, eval, sweep, verify.
 Artifacts land in a run directory named by the resolved-config hash plus a
 timestamp (or exactly ``--outdir``); the resolved configuration is echoed to
-``config.resolved`` so any run can be reproduced byte-for-byte. Exit codes:
-0 success, 1 failed verification, 2 bad usage or configuration, 3 missing
-checkpoint or world file.
+``config.resolved`` so any run can be reproduced byte-for-byte. Nothing is
+written until the subcommand has succeeded. Exit codes: 0 success, 1 failed
+verification, 2 bad usage, configuration or input file, 3 missing checkpoint
+or world file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from . import config as cfg
 from . import metrics as mx
 from .autodiff import MelworldError
+from .checkpoint import CheckpointError
 from .config import ConfigError, config_hash, mix_seed
 from .diffusion import NoiseSchedule
 from .training import Checkpoint, train_model, train_noisy_classifier
@@ -44,25 +46,35 @@ EXIT_USAGE = 2
 EXIT_MISSING = 3
 
 
-def _load_config(args) -> dict:
-    partial = None
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        partial = cfg.parse_text(path.read_text(encoding="utf-8"))
-    return cfg.resolve(partial, args.set or [])
+class MissingFileError(MelworldError):
+    """A checkpoint or world file that does not exist (exit 3)."""
 
 
-def _run_dir(config: dict, args) -> Path:
-    if args.outdir:
-        run_dir = Path(args.outdir)
-    else:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        run_dir = Path(args.runs_root) / f"{config_hash(config)}-{stamp}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.resolved").write_text(cfg.render(config), encoding="utf-8")
-    return run_dir
+class OracleCheckError(MelworldError):
+    """An oracle self-test that failed (exit 1)."""
+
+
+@dataclass(frozen=True)
+class Run:
+    """What a subcommand gets from ``main``: the resolved configuration, the
+    world, the checkpoint trained on it (for the subcommands that take one)
+    and the run directory's path, which only ``main`` creates."""
+
+    config: dict
+    world: World
+    ckpt: Checkpoint | None
+    dir: Path
+
+
+def _read(name: str | None, what: str, missing=MissingFileError, binary: bool = False):
+    """The bytes, or else the UTF-8 text, of the input file ``name``."""
+    path = None if name is None else Path(name)
+    if path is None or not path.exists():
+        raise missing(f"{what} not found: {path}")
+    try:
+        return path.read_bytes() if binary else path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MelworldError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _section_config(config: dict, section: str):
@@ -75,31 +87,39 @@ def _section_config(config: dict, section: str):
     return cls(**values)
 
 
-def _build_world(config: dict, args) -> World:
-    if getattr(args, "world", None):
-        path = Path(args.world)
-        if not path.exists():
-            print(f"error: world file not found: {path}", file=sys.stderr)
-            raise SystemExit(EXIT_MISSING)
-        return load_world(path.read_text(encoding="utf-8"))
-    return make_world(_section_config(config, "world"),
-                      seed=mix_seed(config["run"]["seed"], config["world"]["seed"]))
+def _inputs(args) -> Run:
+    """Resolve the configuration and read each input file once; the
+    checkpoint must have been trained on the world."""
+    partial = None
+    if args.config is not None:
+        partial = cfg.parse_text(_read(args.config, "config file", missing=ConfigError))
+    config = cfg.resolve(partial, args.set or [])
+    ckpt = None
+    if hasattr(args, "checkpoint"):
+        ckpt = Checkpoint.from_bytes(_read(args.checkpoint, "checkpoint", binary=True))
+    if args.world:
+        world = load_world(_read(args.world, "world file"))
+    else:
+        world = make_world(_section_config(config, "world"),
+                           seed=mix_seed(config["run"]["seed"], config["world"]["seed"]))
+    if ckpt is not None and world_hash(world) != ckpt.world_hash:
+        raise CheckpointError(f"checkpoint was trained on world {ckpt.world_hash}, "
+                              f"got {world_hash(world)}")
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    run_dir = Path(args.outdir or Path(args.runs_root) / f"{config_hash(config)}-{stamp}")
+    return Run(config, world, ckpt, run_dir)
 
 
-def _checkpoint_and_world(config: dict, args) -> tuple[Checkpoint, World]:
-    """The checkpoint and the world; exit 3 without the checkpoint file and 2
-    unless the checkpoint was trained on that world."""
-    path = Path(args.checkpoint) if args.checkpoint else None
-    if path is None or not path.exists():
-        print(f"error: checkpoint not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_MISSING)
-    ckpt = Checkpoint.from_bytes(path.read_bytes())
-    world = _build_world(config, args)
-    if world_hash(world) != ckpt.world_hash:
-        print(f"error: checkpoint was trained on world {ckpt.world_hash}, "
-              f"got {world_hash(world)}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return ckpt, world
+def _write_run(run: Run, artifacts: dict) -> None:
+    """Create the run directory, then write ``config.resolved`` and each
+    artifact (bytes as they are, text as UTF-8)."""
+    try:
+        run.dir.mkdir(parents=True, exist_ok=True)
+        for name, content in {"config.resolved": cfg.render(run.config), **artifacts}.items():
+            (run.dir / name).write_bytes(content if isinstance(content, bytes)
+                                         else content.encode("utf-8"))
+    except OSError as exc:
+        raise MelworldError(f"cannot write run directory {run.dir}: {exc}") from exc
 
 
 def _split(world: World, config: dict):
@@ -107,89 +127,71 @@ def _split(world: World, config: dict):
                           mix_seed(config["run"]["seed"], config["world"]["split_seed"]))
 
 
-def _eval_inputs(args):
-    """What eval and sweep share: the config, run directory, checkpoint,
-    world, the speakers of ``eval.group`` and the evaluation seed."""
-    config = _load_config(args)
-    group = config["eval"]["group"]
-    if group not in ("seen", "unseen"):
-        raise ConfigError(f"eval.group must be 'seen' or 'unseen', got {group!r}")
+def _eval_cell(run: Run) -> dict:
+    """What eval and sweep share: the arguments of a metrics cell apart from
+    its guidance scale, once the eval sizes are checked."""
+    e = run.config["eval"]
+    if e["group"] not in ("seen", "unseen"):
+        raise ConfigError(f"eval.group must be 'seen' or 'unseen', got {e['group']!r}")
     for key in ("n_scripts", "n_samples", "script_len"):
-        if config["eval"][key] < 1:
-            raise ConfigError(f"eval.{key} must be >= 1, got {config['eval'][key]}")
-    run_dir = _run_dir(config, args)
-    ckpt, world = _checkpoint_and_world(config, args)
-    if config["eval"]["script_len"] > world.max_len:
-        raise ConfigError(f"eval.script_len {config['eval']['script_len']} exceeds the "
-                          f"world's max_len {world.max_len}")
-    speakers = getattr(_split(world, config), group)
-    return (config, run_dir, ckpt, world, speakers,
-            mix_seed(config["run"]["seed"], config["eval"]["seed"]))
+        if e[key] < 1:
+            raise ConfigError(f"eval.{key} must be >= 1, got {e[key]}")
+    if e["script_len"] > run.world.max_len:
+        raise ConfigError(f"eval.script_len {e['script_len']} exceeds the "
+                          f"world's max_len {run.world.max_len}")
+    cell = {key: e[key] for key in ("mode", "n_samples", "steps", "n_scripts", "script_len",
+                                    "stochastic")}
+    return dict(cell, world=run.world, speakers=getattr(_split(run.world, run.config), e["group"]),
+                seed=mix_seed(run.config["run"]["seed"], e["seed"]))
 
 
-def _write_jsonl(path: Path, records) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+def _jsonl(records) -> str:
+    return "".join(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+                   for record in records)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes no file itself; it returns its artifacts as {file
+# name: text or bytes} and the summary to print once they are written, or
+# None when it writes no run directory
 
 
-def cmd_gen_data(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(config, args)
-    world = _build_world(config, args)
-    out = run_dir / "world.txt"
-    out.write_text(dump_world(world), encoding="utf-8")
-    print(f"world {world_hash(world)} -> {out}")
-    return EXIT_OK
+def cmd_gen_data(run: Run) -> tuple[dict, str]:
+    return ({"world.txt": dump_world(run.world)},
+            f"world {world_hash(run.world)} -> {run.dir / 'world.txt'}")
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(config, args)
-    world = _build_world(config, args)
+def cmd_train(run: Run) -> tuple[dict, str]:
+    config, world = run.config, run.world
+    if config["eval"]["per_emotion"] < 1:
+        raise ConfigError(f"eval.per_emotion must be >= 1, got {config['eval']['per_emotion']}")
     split = _split(world, config)
     trace: list = []
     ckpt = train_model(world, split, _section_config(config, "train"),
                        _section_config(config, "model"), trace=trace)
-    (run_dir / "checkpoint.bin").write_bytes(ckpt.to_bytes())
-    _write_jsonl(run_dir / "losses.jsonl", trace)
     vectors, labels = mx.collect_style_vectors(
         world, ckpt.model, split.seen, config["eval"]["per_emotion"],
         config["train"]["utt_len"], mix_seed(config["run"]["seed"], config["eval"]["seed"]))
-    (run_dir / "styles.tsv").write_text(mx.styles_tsv(vectors, labels), encoding="utf-8")
-    (run_dir / "world.txt").write_text(dump_world(world), encoding="utf-8")
-    print(f"checkpoint {mx.checkpoint_hash(ckpt)} (step {ckpt.step}) -> {run_dir}")
-    return EXIT_OK
+    return ({"checkpoint.bin": ckpt.to_bytes(), "losses.jsonl": _jsonl(trace),
+             "styles.tsv": mx.styles_tsv(vectors, labels), "world.txt": dump_world(world)},
+            f"checkpoint {mx.checkpoint_hash(ckpt)} (step {ckpt.step}) -> {run.dir}")
 
 
-def cmd_train_clf(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(config, args)
-    ckpt, world = _checkpoint_and_world(config, args)
-    split = _split(world, config)
+def cmd_train_clf(run: Run) -> tuple[dict, str]:
     trace: list = []
-    train_noisy_classifier(world, split, ckpt.model, _section_config(config, "train"),
-                           trace=trace)
-    (run_dir / "checkpoint.bin").write_bytes(ckpt.to_bytes())
-    _write_jsonl(run_dir / "losses.jsonl", trace)
-    print(f"noisy classifier trained -> {run_dir / 'checkpoint.bin'}")
-    return EXIT_OK
+    train_noisy_classifier(run.world, _split(run.world, run.config), run.ckpt.model,
+                           _section_config(run.config, "train"), trace=trace)
+    return ({"checkpoint.bin": run.ckpt.to_bytes(), "losses.jsonl": _jsonl(trace)},
+            f"noisy classifier trained -> {run.dir / 'checkpoint.bin'}")
 
 
-def cmd_sample(args) -> int:
-    config = _load_config(args)
-    s = config["sample"]
+def cmd_sample(run: Run) -> tuple[dict, str]:
+    config, world, s = run.config, run.world, run.config["sample"]
     if s["n"] < 1:
         raise ConfigError(f"sample.n must be >= 1, got {s['n']}")
     if not s["tokens"] and config["eval"]["script_len"] < 1:
         raise ConfigError(f"eval.script_len must be >= 1 without sample.tokens, "
                           f"got {config['eval']['script_len']}")
-    run_dir = _run_dir(config, args)
-    ckpt, world = _checkpoint_and_world(config, args)
     speaker = world.check_speaker(s["speaker"])
     emotion = world.check_emotion(s["emotion"])
     seed = mix_seed(config["run"]["seed"], s["seed"])
@@ -197,9 +199,9 @@ def cmd_sample(args) -> int:
     # a drawn script obeys max_len like a given one
     tokens = world.check_tokens(s["tokens"] or rng.integers(0, world.vocab,
                                                             size=config["eval"]["script_len"]))
-    model = ckpt.model
-    records = []
-    p_null_never_trained = ckpt.train_config.p_null == 0.0 and s["mode"] != "none"
+    model = run.ckpt.model
+    records, artifacts = [], {}
+    p_null_never_trained = run.ckpt.train_config.p_null == 0.0 and s["mode"] != "none"
     for i in range(s["n"]):
         style = model.encoder.encode(neutral_references(world, [speaker], tokens.size, rng))
         trajectory: list | None = [] if s["trajectory"] else None
@@ -207,78 +209,49 @@ def cmd_sample(args) -> int:
                                   np.array([emotion]), s["gamma"], s["steps"],
                                   rng.integers(0, 2 ** 63 - 1), s["stochastic"],
                                   trajectory)[0]
-        record = {
-            "index": i,
-            "speaker": s["speaker"],
-            "emotion": s["emotion"],
-            "mode": s["mode"],
-            "gamma": s["gamma"],
-            "tokens": [int(t) for t in tokens],
-            "frames": [[float(v) for v in row] for row in frames],
-        }
+        record = {"index": i, "speaker": s["speaker"], "emotion": s["emotion"],
+                  "mode": s["mode"], "gamma": s["gamma"], "tokens": [int(t) for t in tokens],
+                  "frames": [[float(v) for v in row] for row in frames]}
         if p_null_never_trained:
             record["warning"] = "null embedding was never trained (p_null was 0)"
         records.append(record)
         if trajectory is not None:
-            _write_jsonl(run_dir / f"trajectory_{i}.jsonl", trajectory)
-    _write_jsonl(run_dir / "samples.jsonl", records)
-    print(f"{s['n']} samples -> {run_dir / 'samples.jsonl'}")
-    return EXIT_OK
+            artifacts[f"trajectory_{i}.jsonl"] = _jsonl(trajectory)
+    return ({**artifacts, "samples.jsonl": _jsonl(records)},
+            f"{s['n']} samples -> {run.dir / 'samples.jsonl'}")
 
 
-def cmd_eval(args) -> int:
-    config, run_dir, ckpt, world, speakers, seed = _eval_inputs(args)
-    e = config["eval"]
-    gamma = config["sample"]["gamma"]
-    row = mx.evaluate_cell(ckpt.model, world, speakers, e["mode"], gamma,
-                           e["n_samples"], seed, e["steps"], e["n_scripts"],
-                           e["script_len"], e["stochastic"])
-    fingerprint = {
-        "world_hash": ckpt.world_hash,
-        "checkpoint_hash": mx.checkpoint_hash(ckpt),
-        "gamma": gamma,
-        "mode": e["mode"],
-        "group": e["group"],
-        "seed": seed,
-    }
+def cmd_eval(run: Run) -> tuple[dict, str]:
+    cell, ckpt, gamma = _eval_cell(run), run.ckpt, run.config["sample"]["gamma"]
+    row = mx.evaluate_cell(ckpt.model, gamma=gamma, **cell)
+    fingerprint = {"world_hash": ckpt.world_hash, "checkpoint_hash": mx.checkpoint_hash(ckpt),
+                   "gamma": gamma, "mode": cell["mode"], "group": run.config["eval"]["group"],
+                   "seed": cell["seed"]}
     reports = [{"metric": metric, "value": getattr(row, metric), "n": row.n,
                 "fingerprint": fingerprint}
                for metric in ("eca", "content_error", "secs_mean_frame", "secs_style")]
-    result = mx.SweepResult(rows=[row], fingerprint=fingerprint)
-    (run_dir / "metrics.csv").write_text(result.to_csv(), encoding="utf-8")
-    _write_jsonl(run_dir / "report.jsonl", reports)
-    for report in reports:
-        print(f"{report['metric']}: {report['value']:.4f} (n={report['n']})")
-    return EXIT_OK
+    return ({"metrics.csv": mx.SweepResult(rows=[row], fingerprint=fingerprint).to_csv(),
+             "report.jsonl": _jsonl(reports)},
+            "\n".join(f"{r['metric']}: {r['value']:.4f} (n={r['n']})" for r in reports))
 
 
-def cmd_sweep(args) -> int:
-    config, run_dir, ckpt, world, speakers, seed = _eval_inputs(args)
-    e = config["eval"]
-    result = mx.guidance_sweep(ckpt, world, speakers, list(e["gammas"]), e["mode"],
-                               e["n_samples"], seed, e["steps"], e["n_scripts"],
-                               e["script_len"], e["stochastic"])
-    (run_dir / "metrics.csv").write_text(result.to_csv(), encoding="utf-8")
-    print(result.to_csv(), end="")
-    print(f"-> {run_dir / 'metrics.csv'}")
-    return EXIT_OK
+def cmd_sweep(run: Run) -> tuple[dict, str]:
+    result = mx.guidance_sweep(run.ckpt, gammas=list(run.config["eval"]["gammas"]),
+                               **_eval_cell(run))
+    csv = result.to_csv()
+    return {"metrics.csv": csv}, f"{csv}-> {run.dir / 'metrics.csv'}"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(run: Run) -> None:
     from .verify import run_all
 
-    config = _load_config(args)
-    world = _build_world(config, args)
-    m = config["model"]
-    schedule = NoiseSchedule(m["beta0"], m["beta1"], m["t_final"], m["t_min"])
-    results = run_all(world, schedule)
+    m = run.config["model"]
+    results = run_all(run.world, NoiseSchedule(m["beta0"], m["beta1"], m["t_final"], m["t_min"]))
     for result in results:
         print(result.line())
-    if all(r.passed for r in results):
-        print("all oracle checks passed")
-        return EXIT_OK
-    print("oracle checks FAILED", file=sys.stderr)
-    return EXIT_FAIL
+    if not all(r.passed for r in results):
+        raise OracleCheckError("oracle checks FAILED")
+    print("all oracle checks passed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,6 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """One run: resolve the configuration and read the inputs, run the
+    subcommand, then write its run directory; every failure is one stderr
+    line and an exit code, and a failed run writes nothing."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -317,15 +293,18 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, matching the CLI contract
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        return args.fn(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        run = _inputs(args)
+        result = args.fn(run)
+        if result is not None:
+            artifacts, summary = result
+            _write_run(run, artifacts)
+            print(summary)
+        return EXIT_OK
     except MelworldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_FAIL
+        kind = type(exc)
+        prefix = {ConfigError: "configuration error: ", OracleCheckError: ""}.get(kind, "error: ")
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return {MissingFileError: EXIT_MISSING, OracleCheckError: EXIT_FAIL}.get(kind, EXIT_USAGE)
 
 
 if __name__ == "__main__":

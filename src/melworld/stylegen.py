@@ -13,7 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Tensor
+from .autodiff import MelworldError, ParamStore, Tensor
+
+
+class StyleError(MelworldError):
+    """Raised for frames, tokens or emotion ids the style modules cannot take."""
 
 
 class StyleEncoder:
@@ -38,10 +42,10 @@ class StyleEncoder:
         mean, so invariant to the order of its frames; pure."""
         arr = np.asarray(frames, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[-1] != self.frame_dim:
-            raise ValueError(f"expected a batch of frames (n, L, {self.frame_dim}), "
+            raise StyleError(f"expected a batch of frames (n, L, {self.frame_dim}), "
                              f"got {arr.shape}")
         if arr.shape[-2] == 0:
-            raise ValueError("reference frames must be nonempty")
+            raise StyleError("reference frames must be nonempty")
         h = ad.mlp_eval(self.params, "net", arr, self.n_layers)
         h.sort(axis=-2)
         return h.mean(axis=-2)
@@ -68,7 +72,7 @@ class EmotionTable:
         idx = np.asarray(labels, dtype=np.int64)
         bad = idx[(idx < 0) | (idx >= self.n_emotions)]
         if bad.size:
-            raise ValueError(f"emotion label {bad[0]} out of range [0, {self.n_emotions})")
+            raise StyleError(f"emotion label {bad[0]} out of range [0, {self.n_emotions})")
         if null_mask is not None:
             idx = np.where(np.asarray(null_mask, dtype=bool), self.null_index, idx)
         return idx
@@ -105,11 +109,11 @@ class Generator:
     def _check_tokens(self, tokens) -> np.ndarray:
         toks = np.asarray(tokens, dtype=np.int64)
         if toks.ndim != 2:
-            raise ValueError(f"expected a batch of tokens (n, L), got shape {toks.shape}")
+            raise StyleError(f"expected a batch of tokens (n, L), got shape {toks.shape}")
         if toks.size == 0:
-            raise ValueError("token sequence must be nonempty")
+            raise StyleError("token sequence must be nonempty")
         if toks.min() < 0 or toks.max() >= self.vocab:
-            raise ValueError(f"token id out of range [0, {self.vocab})")
+            raise StyleError(f"token id out of range [0, {self.vocab})")
         return toks
 
     def generate_t(self, tokens, style: Tensor, emotion_emb: Tensor) -> Tensor:

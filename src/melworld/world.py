@@ -62,6 +62,15 @@ class WorldConfig:
     tau: float = 0.3  # per-frame noise scale
     max_len: int = 16  # maximum utterance length
 
+    def __post_init__(self):
+        # every world passes these, whether generated or loaded from a file
+        for name, least in (("n_speakers", 4), ("n_emotions", 2), ("frame_dim", 2),
+                            ("vocab", 1), ("max_len", 1)):
+            if getattr(self, name) < least:
+                raise WorldError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not 0 < self.tau < np.inf:
+            raise WorldError(f"tau must be positive and finite, got {self.tau}")
+
 
 @dataclass(frozen=True)
 class World:
@@ -130,14 +139,6 @@ def make_world(config: WorldConfig = WorldConfig(), seed: int = 0) -> World:
     pairwise distances reach 4*tau, which keeps the Bayes classifier and
     nearest-mean speaker identification near-perfect on clean data.
     """
-    if config.n_speakers < 4:
-        raise WorldError("need at least 4 speakers")
-    if config.n_emotions < 2:
-        raise WorldError("need at least 2 emotions")
-    if config.frame_dim < 2:
-        raise WorldError("frame_dim must be at least 2")
-    if config.tau <= 0:
-        raise WorldError("tau must be positive")
     rng = np.random.default_rng(seed)
     min_sep = 4.0 * config.tau
     # scales grow with tau so the required 4*tau separation stays reachable
@@ -412,6 +413,7 @@ def load_world(text: str) -> World:
             i += 1
         return np.array(rows, dtype=np.float64)
 
+    WorldConfig(**{k: v for k, v in fields.items() if k != "seed"})  # the size checks
     d = fields["frame_dim"]
     world = World(
         **fields,

@@ -1,7 +1,11 @@
 """Checkpoint container: bit-exact round trips and error handling."""
 
+import struct
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import melworld as mw
 from melworld import autodiff as ad
@@ -102,3 +106,52 @@ def test_roundtrip_keeps_a_reinitialised_probe_seed():
     loaded = mw.Checkpoint.from_bytes(raw)
     assert loaded.model.probe.params.seed == 10
     assert loaded.to_bytes() == raw
+
+
+@lru_cache(maxsize=None)
+def _small_checkpoint() -> bytes:
+    """A real checkpoint of one training step with every width at 2-3."""
+    world = mw.make_world(WorldConfig(), seed=7)
+    model_config = mw.ModelConfig(style_dim=2, emotion_dim=2, token_dim=2, hidden=3,
+                                  clf_hidden=3, n_hidden=1)
+    train_config = mw.TrainConfig(steps=1, batch_size=2, dat_probe_steps=1)
+    return mw.train_model(world, mw.split_speakers(world, 6, seed=0), train_config,
+                          model_config).to_bytes()
+
+
+def _first_ndim_offset(raw: bytes) -> int:
+    """Offset of the first parameter's ndim byte: after the header, the
+    metadata, the store count, the store's name, seed and parameter count,
+    and the parameter's name."""
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    at = 16 + meta_len + 4
+    at += 2 + struct.unpack("<H", raw[at:at + 2])[0] + 8 + 4
+    return at + 2 + struct.unpack("<H", raw[at:at + 2])[0]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw, at: raw[:8] + b"\xff" * 8 + raw[16:],  # meta_len beyond sys.maxsize
+    lambda raw, at: raw[:at] + bytes([200]) + raw[at + 1:],  # 200 dims
+    # dims whose product, 2**64, wraps to 0 in int64
+    lambda raw, at: raw[:at] + struct.pack("<B3I", 3, 2 ** 31, 2 ** 31, 4) + raw[at + 13:],
+], ids=["meta-length", "ndim-200", "dims-product"])
+def test_damaged_lengths_raise_checkpoint_error(damage):
+    raw = _small_checkpoint()
+    assert raw[_first_ndim_offset(raw)] == 2
+    with pytest.raises(CheckpointError):
+        mw.Checkpoint.from_bytes(damage(raw, _first_ndim_offset(raw)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_byte_edit_or_truncation_loads_or_raises_checkpoint_error(data):
+    raw = bytearray(_small_checkpoint())
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1), label="at")] = data.draw(
+            st.integers(0, 255), label="byte")
+    try:
+        mw.Checkpoint.from_bytes(bytes(raw))
+    except CheckpointError:
+        pass

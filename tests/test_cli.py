@@ -118,6 +118,24 @@ def test_a_string_override_round_trips_or_is_rejected(text):
     assert cfg.resolve(cfg.parse_text(cfg.render(config))) == config
 
 
+# a section header (known or not), a known key with any value, or any text
+_CONFIG_LINE = st.one_of(
+    st.sampled_from([*cfg.SCHEMA, "nope"]).map(lambda section: f"[{section}]"),
+    st.tuples(st.sampled_from([key for keys in cfg.SCHEMA.values() for key in keys]),
+              st.text(max_size=12)).map(" = ".join),
+    st.text(max_size=20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text() | st.lists(_CONFIG_LINE, max_size=6).map("\n".join))
+def test_parse_text_parses_or_raises_config_error(text):
+    try:
+        partial = cfg.parse_text(text)
+    except ConfigError:
+        return
+    assert set(partial) <= set(cfg.SCHEMA)
+
+
 def test_set_reaches_the_dataclasses_the_cli_builds(tmp_path, monkeypatch):
     # every [world]/[model]/[train] key set with --set, each to a value off
     # its default, must reach the object training receives
@@ -176,13 +194,13 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("error", [mw.WorldError, mw.TrainingError, mw.DiffusionError,
                                    mw.EvalError, CheckpointError, ConfigError,
-                                   mw.GraphError])
+                                   mw.GraphError, mw.StyleError])
 def test_every_module_error_is_a_melworld_error(error):
     assert issubclass(error, mw.MelworldError)
 
 
 def test_graph_error_exits_2_in_one_line(tmp_path, capsys, monkeypatch):
-    def broken(args):
+    def broken(run):
         raise mw.GraphError("non-finite values in node 'affine#7'")
 
     monkeypatch.setattr(cli, "cmd_verify", broken)
@@ -195,6 +213,8 @@ def test_missing_checkpoint_exits_3(tmp_path, capsys):
     code = main(["sample", "--checkpoint", str(tmp_path / "nope.bin"),
                  "--outdir", str(tmp_path / "out")])
     assert code == 3
+    assert capsys.readouterr().err == f"error: checkpoint not found: {tmp_path / 'nope.bin'}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_data_writes_world(tmp_path):
@@ -275,6 +295,12 @@ _CORRUPT = {
     "world-truncated": lambda raw: raw[:600],
     "world-header": lambda raw: re.sub(rb"(?m)^tau .*$", b"tau abc", raw),
     "world-entry": lambda raw: re.sub(rb"(speaker_base\n)\S+", rb"\1x", raw),
+    "world-vocab": lambda raw: re.sub(rb"(?m)^vocab .*$", b"vocab 0", raw),
+    "world-tau-negative": lambda raw: re.sub(rb"(?m)^tau .*$", b"tau -1", raw),
+    "world-tau-zero": lambda raw: re.sub(rb"(?m)^tau .*$", b"tau 0", raw),
+    "world-max-len": lambda raw: re.sub(rb"(?m)^max_len .*$", b"max_len 0", raw),
+    "world-not-utf8": lambda raw: b"\xff" + raw,
+    "config-not-utf8": lambda raw: b"\xff" + raw,
 }
 
 
@@ -308,6 +334,18 @@ _CORRUPT = {
     ("sample", "sample.n=1", "checkpoint-steps"),
     ("sample", "eval.script_len=40", None),
     ("eval", "eval.script_len=40", None),
+    ("gen-data", "run.seed=0", "config-dir"),
+    ("gen-data", "run.seed=0", "config-not-utf8"),
+    ("gen-data", "run.seed=0", "world-dir"),
+    ("gen-data", "run.seed=0", "world-not-utf8"),
+    ("sample", "sample.n=1", "checkpoint-dir"),
+    ("gen-data", "run.seed=0", "outdir-file"),
+    ("train", "world.vocab=0", None),
+    ("gen-data", "run.seed=0", "world-vocab"),
+    ("gen-data", "run.seed=0", "world-tau-negative"),
+    ("gen-data", "run.seed=0", "world-tau-zero"),
+    ("gen-data", "run.seed=0", "world-max-len"),
+    ("train", "eval.per_emotion=-1", None),
 ], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint",
         "sample-tokens", "sample-n", "sample-mode-comment", "train-batch-size",
         "sample-speaker", "truncated-world", "world-header-value", "world-matrix-entry",
@@ -315,13 +353,24 @@ _CORRUPT = {
         "checkpoint-config-key", "checkpoint-store-name", "eval-n-scripts", "model-hidden",
         "sample-script-len", "cg-gamma-huge", "checkpoint-hidden-type",
         "checkpoint-frame-dim", "checkpoint-step-type", "checkpoint-steps-float",
-        "sample-drawn-script-too-long", "eval-script-too-long"])
+        "sample-drawn-script-too-long", "eval-script-too-long", "config-dir",
+        "config-not-utf8", "world-dir", "world-not-utf8", "checkpoint-dir", "outdir-file",
+        "world-vocab-set", "world-vocab-file", "world-tau-negative", "world-tau-zero",
+        "world-max-len", "eval-per-emotion"])
 def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, setting,
                                              corrupt):
-    # ``setting`` holds one or more space-separated overrides
-    files = {"checkpoint": trained_run / "checkpoint.bin", "world": trained_run / "world.txt"}
-    if corrupt is not None:
-        kind = corrupt.split("-")[0]
+    # ``setting`` holds one or more space-separated overrides; ``corrupt``
+    # names a damaged input file, an input path that is a directory, or an
+    # --outdir that is a file
+    files = {"checkpoint": trained_run / "checkpoint.bin", "world": trained_run / "world.txt",
+             "config": trained_run / "config.resolved"}
+    out = tmp_path / "out"
+    kind = corrupt.split("-")[0] if corrupt else None
+    if corrupt == "outdir-file":
+        out.write_text("a file")
+    elif corrupt is not None and corrupt.endswith("-dir"):
+        files[kind] = tmp_path
+    elif corrupt is not None:
         damaged = tmp_path / files[kind].name
         damaged.write_bytes(_CORRUPT[corrupt](files[kind].read_bytes()))
         files[kind] = damaged
@@ -330,18 +379,32 @@ def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, set
         extra += ["--checkpoint", str(files["checkpoint"])]
     if command == "gen-data":
         extra += ["--world", str(files["world"])]
+    if kind == "config":
+        extra += ["--config", str(files["config"])]
     src = str(Path(mw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     for override in setting.split():
         extra += ["--set", override]
     proc = subprocess.run(
-        [sys.executable, "-m", "melworld.cli", command, *extra,
-         "--outdir", str(tmp_path / "out"),
+        [sys.executable, "-m", "melworld.cli", command, *extra, "--outdir", str(out),
          "--set", "eval.n_samples=4", "--set", "eval.steps=2"],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    # a failed run writes nothing
+    if corrupt == "outdir-file":
+        assert out.read_text() == "a file"
+    else:
+        assert not out.exists()
+
+
+def test_failed_run_creates_nothing_under_the_default_runs_root(trained_run, tmp_path,
+                                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", "--checkpoint", str(trained_run / "checkpoint.bin"),
+                 "--set", "eval.script_len=17"]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])

@@ -476,11 +476,11 @@ def test_batch_only_entry_points_reject_unbatched_input(tiny_model):
     d, schedule = world.frame_dim, model.schedule
     tokens, s = np.array([1, 5, 2]), np.zeros(16)
     y, mu = np.zeros((3, d)), np.zeros((3, d))
-    with pytest.raises(ValueError, match="n, L, "):
+    with pytest.raises(mw.StyleError, match="n, L, "):
         model.encoder.encode(y)
     with pytest.raises(DiffusionError, match="n, L, D"):
         model.scorenet(y, 0.5, mu, s, np.zeros(8))
-    with pytest.raises(ValueError, match="n, L"):
+    with pytest.raises(mw.StyleError, match="n, L"):
         model.generator.generate(tokens, s, model.table.embed([1])[0])
     with pytest.raises(TrainingError, match="n, L, D"):
         model.noisy_clf.posterior(y, 0.5)
@@ -595,5 +595,5 @@ def test_sample_frames_rejects_emotion_out_of_range(random_model, mode, bad):
     rng = np.random.default_rng(3)
     tokens = rng.integers(0, world.vocab, size=(2, 4))
     styles = model.encoder.encode(rng.standard_normal((2, 4, world.frame_dim)))
-    with pytest.raises(ValueError, match=f"emotion label {bad} out of range \\[0, 4\\)"):
+    with pytest.raises(mw.StyleError, match=f"emotion label {bad} out of range \\[0, 4\\)"):
         metrics.sample_frames(model, mode, tokens, styles, np.array([1, bad]), 2.0, 2, 0, True)

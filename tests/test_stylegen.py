@@ -42,7 +42,7 @@ def test_encode_style_single_row_equals_frame_output(encoder):
 
 
 def test_encode_style_rejects_empty(encoder):
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(mw.StyleError, match="nonempty"):
         encoder.encode(np.zeros((1, 0, 8)))
 
 
@@ -76,9 +76,9 @@ def test_embed_deterministic(table):
 
 def test_embed_rejects_invalid_id(table):
     for labels, bad in (([4], 4), ([-1], -1), ([0, 2, 4], 4), ([3, -1], -1)):
-        with pytest.raises(ValueError, match=f"emotion label {bad} out of range"):
+        with pytest.raises(mw.StyleError, match=f"emotion label {bad} out of range"):
             table.embed(labels)
-        with pytest.raises(ValueError, match=f"emotion label {bad} out of range"):
+        with pytest.raises(mw.StyleError, match=f"emotion label {bad} out of range"):
             table.row_indices(labels, np.ones(len(labels), dtype=bool))
 
 
@@ -126,13 +126,13 @@ def test_generate_mu_deterministic(generator, table):
 
 
 def test_generate_mu_rejects_empty_tokens(generator, table):
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(mw.StyleError, match="nonempty"):
         generator.generate(np.zeros((1, 0), dtype=np.int64), np.zeros((1, 16)),
                            table.embed([0]))
 
 
 def test_generate_mu_rejects_bad_token(generator, table):
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(mw.StyleError, match="out of range"):
         generator.generate([[10]], np.zeros((1, 16)), table.embed([0]))
 
 

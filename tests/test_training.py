@@ -1,13 +1,12 @@
 """Training orchestration: DAT mechanics, determinism, the noisy classifier."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 import melworld as mw
 from melworld import autodiff as ad
 from melworld import cli
+from melworld import config as cfg
 from melworld.autodiff import Tensor
 from melworld.config import ConfigError
 from melworld.metrics import generate_eval_samples
@@ -291,10 +290,11 @@ def test_config_validation():
     with pytest.raises(TrainingError, match="n_hidden"):
         mw.ModelConfig(n_hidden=-1)
     mw.ModelConfig(n_hidden=0)
-    # the eval sizes are checked before a checkpoint is read
+    # eval and sweep check their sizes before they look at the world or the checkpoint
     for key in ("n_scripts", "n_samples", "script_len"):
         with pytest.raises(ConfigError, match=f"eval.{key}"):
-            cli._eval_inputs(SimpleNamespace(config=None, set=[f"eval.{key}=0"]))
+            cli._eval_cell(cli.Run(cfg.resolve(None, [f"eval.{key}=0"]), world=None,
+                                     ckpt=None, dir=None))
 
 
 # ---------------------------------------------------------------------------

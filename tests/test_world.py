@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import melworld as mw
 from melworld.world import (
@@ -56,6 +57,9 @@ def test_make_world_validates_config():
         mw.make_world(WorldConfig(n_emotions=1), seed=0)
     with pytest.raises(WorldError):
         mw.make_world(WorldConfig(tau=0.0), seed=0)
+    for bad in (dict(vocab=0), dict(max_len=0), dict(tau=np.inf), dict(tau=np.nan)):
+        with pytest.raises(WorldError):
+            mw.make_world(WorldConfig(**bad), seed=0)
 
 
 def test_separation_failure_reports_resampling():
@@ -330,3 +334,34 @@ def test_world_roundtrip_bit_exact(world):
 def test_load_world_rejects_garbage():
     with pytest.raises(WorldError):
         load_world("not a world\n")
+
+
+@pytest.mark.parametrize("line", ["vocab 0", "max_len 0", "tau 0", "tau -1", "tau nan",
+                                  "tau inf", "n_speakers 3", "frame_dim 1"])
+def test_load_world_rejects_sizes_make_world_rejects(world, line):
+    key = line.split()[0]
+    lines = [line if ln.split()[0] == key else ln for ln in dump_world(world).splitlines()]
+    with pytest.raises(WorldError, match=key):
+        load_world("\n".join(lines) + "\n")
+
+
+_WORLD_LINES = dump_world(mw.make_world(WorldConfig(), seed=7)).splitlines()
+_HEADER_KEYS = ["frame_dim", "vocab", "n_speakers", "n_emotions", "tau", "max_len", "seed"]
+# a header line with a small, signed, non-finite or non-numeric value, or any text
+_LINE = st.one_of(
+    st.tuples(st.sampled_from(_HEADER_KEYS),
+              st.integers(-3, 5).map(str) | st.sampled_from(["nan", "inf", "1e400", "x"])
+              ).map(" ".join),
+    st.text(max_size=20))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.text() | st.tuples(st.integers(0, len(_WORLD_LINES) - 1), _LINE).map(
+    lambda edit: "\n".join(_WORLD_LINES[:edit[0]] + [edit[1]] + _WORLD_LINES[edit[0] + 1:])))
+def test_load_world_loads_or_raises_world_error(text):
+    # arbitrary text, or a real world file with one line replaced
+    try:
+        loaded = load_world(text)
+    except WorldError:
+        return
+    assert dump_world(load_world(dump_world(loaded))) == dump_world(loaded)
