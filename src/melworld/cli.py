@@ -4,8 +4,8 @@
                           [--outdir DIR | --runs-root DIR] [...]
 
 Subcommands: gen-data, train, train-clf, sample, eval, sweep, verify.
-Artifacts land in a run directory named by the resolved-config hash plus a
-timestamp (or exactly ``--outdir``); the resolved configuration is echoed to
+Artifacts land in a new run directory named by the resolved-config hash plus
+a timestamp (or exactly ``--outdir``); the resolved configuration is echoed to
 ``config.resolved`` so any run can be reproduced byte-for-byte. Nothing is
 written until the subcommand has succeeded. Exit codes: 0 success, 1 failed
 verification, 2 bad usage, configuration or input file, 3 missing checkpoint
@@ -110,11 +110,12 @@ def _inputs(args) -> Run:
     return Run(config, world, ckpt, run_dir)
 
 
-def _write_run(run: Run, artifacts: dict) -> None:
-    """Create the run directory, then write ``config.resolved`` and each
-    artifact (bytes as they are, text as UTF-8)."""
+def _write_run(run: Run, artifacts: dict, exist_ok: bool) -> None:
+    """Create the run directory, which must be new unless ``exist_ok``, then
+    write ``config.resolved`` and each artifact (bytes as they are, text as
+    UTF-8)."""
     try:
-        run.dir.mkdir(parents=True, exist_ok=True)
+        run.dir.mkdir(parents=True, exist_ok=exist_ok)
         for name, content in {"config.resolved": cfg.render(run.config), **artifacts}.items():
             (run.dir / name).write_bytes(content if isinstance(content, bytes)
                                          else content.encode("utf-8"))
@@ -297,7 +298,8 @@ def main(argv=None) -> int:
         result = args.fn(run)
         if result is not None:
             artifacts, summary = result
-            _write_run(run, artifacts)
+            # a hash-named directory is never reused; --outdir may be
+            _write_run(run, artifacts, exist_ok=args.outdir is not None)
             print(summary)
         return EXIT_OK
     except MelworldError as exc:

@@ -93,7 +93,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "train": _declared("train"),
     "sample": {
         "steps": ("int", 100),  # reverse integration steps
-        "stochastic": ("bool", True),  # inject reverse-time noise
+        "stochastic": ("bool", True),  # reverse SDE; false: probability-flow ODE
         "mode": ("str", "none"),  # none | cfg | cg
         "gamma": ("float", 0.0),  # guidance scale, also used by eval
         "speaker": ("int", 0),  # target speaker id
@@ -111,7 +111,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "mode": ("str", "cfg"),  # guidance mode for eval/sweep: none | cfg | cg
         "group": ("str", "seen"),  # speaker group: seen | unseen
         "steps": ("int", 100),  # reverse integration steps
-        "stochastic": ("bool", True),  # inject reverse-time noise
+        "stochastic": ("bool", True),  # reverse SDE; false: probability-flow ODE
         "per_emotion": ("int", 200),  # style vectors per emotion for the probe
         "seed": ("int", 0),  # evaluation seed
     },

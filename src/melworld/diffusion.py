@@ -6,14 +6,17 @@ The forward process pulls data toward a prior mean mu,
     rho(t) = exp(-B(t)/2),  var(t) = 1 - exp(-B(t)),  B(t) = int_0^t beta,
 
 so Y_T is approximately N(mu, I) for the default schedule. Reverse sampling
-integrates
+integrates, backward on a uniform grid from t = T, either the reverse SDE
 
-    Y <- Y - h * beta(t) * (0.5 * (mu - Y) - score)         [+ sqrt(beta h) z]
+    Y <- Y - h * beta(t) * (0.5 * (mu - Y) - score) + sqrt(beta h) z
 
-backward on a uniform grid from t = T. Note the time-reversed drift alone
-pushes *away* from mu; it is the score term that transports the prior back
-to the data distribution (with the exact score this recovers the forward
-marginals up to O(h)).
+or, deterministically, the probability-flow ODE (Song et al. 2021)
+
+    Y <- Y - h * beta(t) * (0.5 * (mu - Y) - 0.5 * score)
+
+Note the time-reversed drift alone pushes *away* from mu; it is the score
+term that transports the prior back to the data distribution (with the
+exact score either path recovers the forward marginals up to O(h)).
 
 Three sampling modes share that integrator: plain conditional, classifier
 guidance (score + gamma * grad log p(e|Y_t) from a classifier on noisy
@@ -293,7 +296,8 @@ def _integrate(score_fn, mu: np.ndarray, schedule: NoiseSchedule, steps: int,
         t = max(schedule.T - k * h, schedule.t_min)
         beta = float(schedule.beta(t))
         score = score_fn(y, t)
-        y = y - h * beta * (0.5 * (mu - y) - score)
+        # the reverse SDE; the probability-flow ODE halves the score and adds no noise
+        y = y - h * beta * (0.5 * (mu - y) - (score if stochastic else 0.5 * score))
         if stochastic:
             y = y + np.sqrt(beta * h) * rng.standard_normal(y.shape)
         if not (lo <= y.min() and y.max() <= hi):

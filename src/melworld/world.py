@@ -25,7 +25,7 @@ per-component Gaussian scores -(y_l - m~_{c,l}) / v_t.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import logsumexp, softmax
@@ -72,14 +72,11 @@ class WorldConfig:
             raise WorldError(f"tau must be positive and finite, got {self.tau}")
 
 
-@dataclass(frozen=True)
-class World:
-    frame_dim: int
-    vocab: int
-    n_speakers: int
-    n_emotions: int
-    tau: float
-    max_len: int
+@dataclass(frozen=True, kw_only=True)
+class World(WorldConfig):
+    """A ``WorldConfig`` plus the seed its matrices were drawn from and the
+    matrices themselves."""
+
     seed: int
     speaker_base: np.ndarray
     emotion_offset: np.ndarray
@@ -154,18 +151,8 @@ def make_world(config: WorldConfig = WorldConfig(), seed: int = 0) -> World:
                            emo_scale * rng.standard_normal((config.n_emotions - 1, d))]),
         min_sep, "emotion offsets")
     token_effect = _TOKEN_SCALE * rng.standard_normal((config.vocab, d))
-    return World(
-        frame_dim=config.frame_dim,
-        vocab=config.vocab,
-        n_speakers=config.n_speakers,
-        n_emotions=config.n_emotions,
-        tau=config.tau,
-        max_len=config.max_len,
-        seed=int(seed),
-        speaker_base=speaker_base,
-        emotion_offset=emotion_offset,
-        token_effect=token_effect,
-    )
+    return World(**asdict(config), seed=int(seed), speaker_base=speaker_base,
+                 emotion_offset=emotion_offset, token_effect=token_effect)
 
 
 def condition_means(world: World, speakers, emotions, tokens) -> np.ndarray:
@@ -223,15 +210,9 @@ def _marginal_variance(world: World, t: float, schedule) -> float:
 
 
 def _component_means(world: World, speakers, emotions, tokens, n_rows: int) -> np.ndarray:
-    """Stack of per-component mean matrices, shape (C, L, D).
-
-    When ``tokens`` is None the token contribution is omitted, i.e. the
-    component mean is constant across rows, shape (C, 1, D).
-    """
+    """Stack of per-component mean matrices, shape (C, L, D)."""
     spk = np.array([world.check_speaker(s) for s in speakers])[:, None]
     emo = np.array([world.check_emotion(e) for e in emotions])[None, :]
-    if tokens is None:
-        return (world.speaker_base[spk] + world.emotion_offset[emo]).reshape(-1, 1, world.frame_dim)
     toks = world.check_tokens(tokens)
     if toks.size != n_rows:
         raise WorldError(f"tokens length {toks.size} does not match {n_rows} rows")
@@ -270,12 +251,12 @@ def _mixture(world: World, speaker_prior, emotion, mu, y_t, t: float, schedule,
 
 
 def analytic_score(world: World, speaker_prior, emotion, mu, y_t, t: float,
-                   schedule, tokens=None) -> np.ndarray:
+                   schedule, tokens) -> np.ndarray:
     """Exact score of the perturbed mixture, same shape as ``y_t``.
 
     ``speaker_prior`` is an iterable of speaker ids and ``emotion`` a single
     id or ``"all"``; components are their uniform-weight product. ``tokens``
-    adds the per-row token effect to every component mean.
+    holds one token per row of ``y_t``, whose effect every component mean adds.
     """
     y, lead, m_t, loglik, v = _mixture(world, speaker_prior, emotion, mu, y_t, t,
                                        schedule, tokens)
@@ -285,7 +266,7 @@ def analytic_score(world: World, speaker_prior, emotion, mu, y_t, t: float,
 
 
 def analytic_log_density(world: World, speaker_prior, emotion, mu, y_t, t: float,
-                         schedule, tokens=None) -> float | np.ndarray:
+                         schedule, tokens) -> float | np.ndarray:
     """Log-density of the perturbed mixture (up to nothing; fully normalized)."""
     _, lead, _, loglik, _ = _mixture(world, speaker_prior, emotion, mu, y_t, t,
                                      schedule, tokens)
@@ -294,7 +275,7 @@ def analytic_log_density(world: World, speaker_prior, emotion, mu, y_t, t: float
 
 
 def analytic_emotion_posterior(world: World, speaker: int, mu, y_t, t: float,
-                               schedule, tokens=None) -> np.ndarray:
+                               schedule, tokens) -> np.ndarray:
     """Exact Bayes posterior over emotions under a uniform prior.
 
     Rows are combined by summing per-row log-likelihoods (the emotion is
@@ -322,7 +303,7 @@ class AnalyticNoisyClassifier:
     def __init__(self, world: World, speaker: int, tokens, mu, schedule):
         self.world = world
         self.speaker = world.check_speaker(speaker)
-        self.tokens = None if tokens is None else world.check_tokens(tokens)
+        self.tokens = world.check_tokens(tokens)
         self.mu = np.asarray(mu, dtype=np.float64)
         self.schedule = schedule
 
@@ -350,77 +331,62 @@ class AnalyticNoisyClassifier:
 # text serialization
 
 
-def _format_matrix(name: str, rows: np.ndarray) -> list[str]:
-    lines = [name]
-    for row in rows:
-        lines.append(" ".join(f"{value:.17g}" for value in row))
-    return lines
+_HEADER_KEYS = tuple(f.name for f in fields(WorldConfig)) + ("seed",)
+_MATRICES = ("speaker_base", "emotion_offset", "token_effect")
 
 
 def dump_world(world: World) -> str:
     """Versioned text serialization; 17 significant digits round-trip float64."""
-    lines = [
-        _FORMAT_HEADER,
-        f"frame_dim {world.frame_dim}",
-        f"vocab {world.vocab}",
-        f"n_speakers {world.n_speakers}",
-        f"n_emotions {world.n_emotions}",
-        f"tau {world.tau:.17g}",
-        f"max_len {world.max_len}",
-        f"seed {world.seed}",
-    ]
-    lines += _format_matrix("speaker_base", world.speaker_base)
-    lines += _format_matrix("emotion_offset", world.emotion_offset)
-    lines += _format_matrix("token_effect", world.token_effect)
+    lines = [_FORMAT_HEADER]
+    for key in _HEADER_KEYS:
+        value = getattr(world, key)
+        lines.append(f"{key} {value:.17g}" if key == "tau" else f"{key} {value}")
+    for name in _MATRICES:
+        lines.append(name)
+        lines += (" ".join(f"{value:.17g}" for value in row) for row in getattr(world, name))
     return "\n".join(lines) + "\n"
 
 
 def load_world(text: str) -> World:
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if not lines or lines[0] != _FORMAT_HEADER:
         raise WorldError("not a world file (bad header)")
-    fields: dict = {}
-    i = 1
-    for key in ("frame_dim", "vocab", "n_speakers", "n_emotions", "tau", "max_len", "seed"):
+    header: dict = {}
+    for i, key in enumerate(_HEADER_KEYS, start=1):
         if i >= len(lines):
             raise WorldError("world file truncated in header")
         parts = lines[i].split()
         if len(parts) != 2 or parts[0] != key:
             raise WorldError(f"expected '{key} <value>' at line {i + 1}")
         try:
-            fields[key] = float(parts[1]) if key == "tau" else int(parts[1])
+            header[key] = float(parts[1]) if key == "tau" else int(parts[1])
         except ValueError:
             raise WorldError(f"bad {key} value {parts[1]!r} at line {i + 1}") from None
-        i += 1
+    seed = header.pop("seed")
+    sizes = WorldConfig(**header)  # checked before any matrix is read
 
-    def read_matrix(name: str, n_rows: int, n_cols: int) -> np.ndarray:
-        nonlocal i
+    matrices = {}
+    i = len(_HEADER_KEYS) + 1
+    for name, n_rows in zip(_MATRICES, (sizes.n_speakers, sizes.n_emotions, sizes.vocab)):
         if i >= len(lines) or lines[i] != name:
             raise WorldError(f"expected matrix '{name}' at line {i + 1}")
-        i += 1
+        if i + n_rows >= len(lines):
+            raise WorldError(f"world file truncated in matrix '{name}'")
         rows = []
-        for _ in range(n_rows):
-            if i >= len(lines):
-                raise WorldError(f"world file truncated in matrix '{name}'")
+        for number, line in enumerate(lines[i + 1:i + 1 + n_rows], start=i + 2):
             try:
-                values = [float(v) for v in lines[i].split()]
+                row = [float(v) for v in line.split()]
             except ValueError:
-                raise WorldError(f"non-numeric entry in matrix '{name}' at line {i + 1}") from None
-            if len(values) != n_cols:
-                raise WorldError(f"matrix '{name}' row has {len(values)} values, "
-                                 f"expected {n_cols}")
-            rows.append(values)
-            i += 1
-        return np.array(rows, dtype=np.float64)
-
-    WorldConfig(**{k: v for k, v in fields.items() if k != "seed"})  # the size checks
-    d = fields["frame_dim"]
-    world = World(
-        **fields,
-        speaker_base=read_matrix("speaker_base", fields["n_speakers"], d),
-        emotion_offset=read_matrix("emotion_offset", fields["n_emotions"], d),
-        token_effect=read_matrix("token_effect", fields["vocab"], d),
-    )
+                raise WorldError(f"non-numeric entry in matrix '{name}' at line {number}") from None
+            if not np.isfinite(row).all():
+                raise WorldError(f"non-finite entry in matrix '{name}' at line {number}")
+            if len(row) != sizes.frame_dim:
+                raise WorldError(f"matrix '{name}' row has {len(row)} values, "
+                                 f"expected {sizes.frame_dim}")
+            rows.append(row)
+        matrices[name] = np.array(rows, dtype=np.float64)
+        i += n_rows + 1
+    world = World(**header, seed=seed, **matrices)
     if np.any(world.emotion_offset[NEUTRAL] != 0.0):
         raise WorldError("corrupt world file: neutral emotion offset is nonzero")
     return world

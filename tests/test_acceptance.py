@@ -293,7 +293,7 @@ def test_criterion_8_guidance_improves_conditioning(guidance_cells):
             guided = guidance_cells[(group, mode, gamma)]
             ok &= guided >= base + 10
             lines.append(f"{group} {mode}({gamma:g}) {guided:.1f} vs unguided "
-                         f"{base:.1f} (+{guided - base:.1f})")
+                         f"{base:.1f} ({guided - base:+.1f})")
     report(8, ok, "oracle-ECA, 200/cell x 5 seeds: " + "; ".join(lines))
 
 

@@ -407,6 +407,21 @@ def test_failed_run_creates_nothing_under_the_default_runs_root(trained_run, tmp
     assert list(tmp_path.iterdir()) == []
 
 
+def test_runs_root_never_reuses_a_run_directory(tmp_path, monkeypatch, capsys):
+    # two runs of one resolved config in the same second get one name
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    root = tmp_path / "R"
+    assert main(["gen-data", "--runs-root", str(root)]) == 0
+    (run_dir,) = root.iterdir()
+    (run_dir / "world.txt").write_text("the first run's file")
+    capsys.readouterr()
+    assert main(["gen-data", "--runs-root", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and str(run_dir) in err, err
+    assert (run_dir / "world.txt").read_text() == "the first run's file"
+    assert list(root.iterdir()) == [run_dir]
+
+
 @pytest.mark.parametrize("command", ["eval", "sweep"])
 def test_scripts_longer_than_max_len_rejected_before_sampling(trained_run, tmp_path,
                                                               monkeypatch, command):

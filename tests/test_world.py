@@ -1,5 +1,8 @@
 """Synthetic world construction, sampling, and the closed-form oracles."""
 
+import hashlib
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ import melworld as mw
 from melworld.world import (
     NEUTRAL,
     AnalyticNoisyClassifier,
+    World,
     WorldConfig,
     WorldError,
     _min_pairwise_distance,
@@ -60,6 +64,16 @@ def test_make_world_validates_config():
     for bad in (dict(vocab=0), dict(max_len=0), dict(tau=np.inf), dict(tau=np.nan)):
         with pytest.raises(WorldError):
             mw.make_world(WorldConfig(**bad), seed=0)
+
+
+@pytest.mark.parametrize("bad", [dict(n_speakers=3), dict(n_emotions=1), dict(frame_dim=1),
+                                 dict(vocab=0), dict(max_len=0), dict(tau=0.0)])
+def test_world_built_directly_runs_the_size_checks(world, bad):
+    # a World is a WorldConfig, so no constructor skips its checks
+    sizes = {f.name: getattr(world, f.name) for f in fields(WorldConfig)}
+    with pytest.raises(WorldError, match=next(iter(bad))):
+        World(**{**sizes, **bad}, seed=0, speaker_base=world.speaker_base,
+              emotion_offset=world.emotion_offset, token_effect=world.token_effect)
 
 
 def test_separation_failure_reports_resampling():
@@ -213,21 +227,22 @@ def test_score_matches_numeric_log_density_gradient(world, schedule):
 
 
 def test_score_symmetric_mixture_midpoint_zero(schedule):
-    # equal-weight two-speaker mixture, Y_t at the midpoint of symmetric means
+    # equal-weight two-speaker mixture, Y_t at the midpoint of symmetric means;
+    # the token's effect shifts both means, mu and Y_t alike
     w = mw.make_world(WorldConfig(n_emotions=2), seed=11)
-    mid = 0.5 * (w.speaker_base[0] + w.speaker_base[1])
+    mid = 0.5 * (w.speaker_base[0] + w.speaker_base[1]) + w.token_effect[3]
     mu = np.broadcast_to(mid, (1, w.frame_dim))
     score = mw.analytic_score(w, [0, 1], NEUTRAL, mu, mu.copy(), 0.5,
-                              mw.NoiseSchedule(), tokens=None)
+                              mw.NoiseSchedule(), tokens=[3])
     assert np.abs(score).max() < 1e-9
 
 
 def test_score_rejects_bad_t(world, schedule):
     y = np.zeros((1, world.frame_dim))
     with pytest.raises(WorldError):
-        mw.analytic_score(world, [0], 0, y, y, 1.5, schedule)
+        mw.analytic_score(world, [0], 0, y, y, 1.5, schedule, tokens=[0])
     with pytest.raises(WorldError):
-        mw.analytic_score(world, [0], 0, y, y, -0.1, schedule)
+        mw.analytic_score(world, [0], 0, y, y, -0.1, schedule, tokens=[0])
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +344,24 @@ def test_world_roundtrip_bit_exact(world):
     assert loaded.tau == world.tau
     assert dump_world(loaded) == text
     assert world_hash(loaded) == world_hash(world)
+
+
+def test_dump_world_bytes_pinned():
+    # the world.txt of every default run at seed 7; a change to the format
+    # that still round-trips through load_world moves this hash
+    text = dump_world(mw.make_world(WorldConfig(), seed=7))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "10d4e88aa154ca75e6d1d8711ff447aa7a57c4668f53c94d587dd4ae4ad22740"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("name", ["speaker_base", "emotion_offset", "token_effect"])
+def test_load_world_rejects_non_finite_entries(world, name, value):
+    lines = dump_world(world).splitlines()
+    row = lines.index(name) + 2  # the 1-based line of the matrix's second row
+    lines[row - 1] = " ".join([value] * world.frame_dim)
+    with pytest.raises(WorldError, match=f"non-finite entry in matrix '{name}' at line {row}$"):
+        load_world("\n".join(lines) + "\n")
 
 
 def test_load_world_rejects_garbage():
