@@ -28,7 +28,6 @@ from . import metrics as mx
 from .autodiff import MelworldError
 from .checkpoint import CheckpointError
 from .config import ConfigError, config_hash, mix_seed
-from .diffusion import NoiseSchedule
 from .training import Checkpoint, train_model, train_noisy_classifier
 from .world import (
     World,
@@ -231,13 +230,13 @@ def cmd_eval(run: Run) -> tuple[dict, str]:
     reports = [{"metric": metric, "value": getattr(row, metric), "n": row.n,
                 "fingerprint": fingerprint}
                for metric in ("eca", "content_error", "secs_mean_frame", "secs_style")]
-    return ({"metrics.csv": mx.SweepResult(rows=[row], fingerprint=fingerprint).to_csv(),
+    return ({"metrics.csv": mx.SweepResult(rows=[row]).to_csv(),
              "report.jsonl": _jsonl(reports)},
             "\n".join(f"{r['metric']}: {r['value']:.4f} (n={r['n']})" for r in reports))
 
 
 def cmd_sweep(run: Run) -> tuple[dict, str]:
-    result = mx.guidance_sweep(run.ckpt, gammas=list(run.config["eval"]["gammas"]),
+    result = mx.guidance_sweep(run.ckpt.model, gammas=list(run.config["eval"]["gammas"]),
                                **_eval_cell(run))
     csv = result.to_csv()
     return {"metrics.csv": csv}, f"{csv}-> {run.dir / 'metrics.csv'}"
@@ -246,8 +245,7 @@ def cmd_sweep(run: Run) -> tuple[dict, str]:
 def cmd_verify(run: Run) -> None:
     from .verify import run_all
 
-    m = run.config["model"]
-    results = run_all(run.world, NoiseSchedule(m["beta0"], m["beta1"], m["t_final"], m["t_min"]))
+    results = run_all(run.world, _section_config(run.config, "model").schedule)
     for result in results:
         print(result.line())
     if not all(r.passed for r in results):

@@ -30,11 +30,15 @@ check once per step that Y stays finite and within a fixed distance of mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import MelworldError, ParamStore, Tensor
+
+if TYPE_CHECKING:
+    from .training import ModelConfig
 
 
 class DiffusionError(MelworldError):
@@ -76,8 +80,12 @@ _SKIP_HIDDEN = 16
 _Y_LIMIT = 1e6
 
 
+# features per time in time_embedding
+TIME_EMB_DIM = 5
+
+
 def time_embedding(t) -> np.ndarray:
-    """(t, sin 2*pi*t, cos 2*pi*t, sin 4*pi*t, cos 4*pi*t); shape (..., 5)."""
+    """(t, sin 2*pi*t, cos 2*pi*t, sin 4*pi*t, cos 4*pi*t); shape (..., TIME_EMB_DIM)."""
     t = np.asarray(t, dtype=np.float64)
     two_pi = 2.0 * np.pi * t
     return np.stack([t, np.sin(two_pi), np.cos(two_pi),
@@ -133,21 +141,19 @@ class ScoreNet:
     learned parts at zero the score is the prior score -(Y_t - mu).
     """
 
-    def __init__(self, frame_dim: int, style_dim: int = 16, emotion_dim: int = 8,
-                 hidden: int = 64, n_hidden: int = 2, seed: int = 0,
-                 schedule: "NoiseSchedule | None" = None):
+    def __init__(self, frame_dim: int, config: ModelConfig):
         self.frame_dim = frame_dim
-        self.style_dim = style_dim
-        self.emotion_dim = emotion_dim
-        self.n_layers = n_hidden + 1
-        self.schedule = schedule if schedule is not None else NoiseSchedule()
-        self.params = ParamStore(seed, "scorenet")
-        in_dim = frame_dim + 5 + frame_dim + style_dim + emotion_dim
-        ad.mlp_init(self.params, "net", [in_dim] + [hidden] * n_hidden + [frame_dim])
+        self.style_dim = config.style_dim
+        self.emotion_dim = config.emotion_dim
+        self.n_layers = config.n_hidden + 1
+        self.schedule = config.schedule
+        self.params = ParamStore(config.seed, "scorenet")
+        in_dim = frame_dim + TIME_EMB_DIM + frame_dim + self.style_dim + self.emotion_dim
+        ad.mlp_init(self.params, "net", [in_dim] + [config.hidden] * config.n_hidden + [frame_dim])
         # g starts at exactly 0, so an untrained net is the prior score plus
         # the MLP; a random g/sd(t) term would make the reverse ODE stiff
         # near t_min
-        self.params.add("skip.w0", (5, _SKIP_HIDDEN))
+        self.params.add("skip.w0", (TIME_EMB_DIM, _SKIP_HIDDEN))
         self.params.add("skip.b0", (_SKIP_HIDDEN,), init="zeros")
         self.params.add("skip.w1", (_SKIP_HIDDEN, 1), init="zeros")
         self.params.add("skip.b1", (1,), init="zeros")
@@ -169,7 +175,8 @@ class ScoreNet:
             raise DiffusionError(f"expected style ({n}, {self.style_dim}) and emotion "
                                  f"({n}, {self.emotion_dim}), got {s.shape} and {e_shape}")
         temb = time_embedding(t)
-        rows = [y_t, np.broadcast_to(temb if temb.ndim == 1 else temb[:, None, :], (n, length, 5)),
+        rows = [y_t, np.broadcast_to(temb if temb.ndim == 1 else temb[:, None, :],
+                                     (n, length, TIME_EMB_DIM)),
                 mu, np.broadcast_to(s[:, None, :], (n, length, self.style_dim))]
         sd = np.sqrt(self.schedule.var(t)).reshape(-1, 1)
         return rows, np.atleast_2d(temb), sd, (1.0 / sd).reshape(-1, 1, 1)

@@ -236,7 +236,6 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
-    fingerprint: dict
 
     def to_csv(self) -> str:
         lines = ["gamma,mode,eca,content_error,secs_mean_frame,secs_style,n"]
@@ -266,7 +265,7 @@ def evaluate_cell(model: Model, world: World, speakers, mode: str, gamma: float,
     )
 
 
-def guidance_sweep(checkpoint: Checkpoint, world: World, speakers, gammas,
+def guidance_sweep(model: Model, world: World, speakers, gammas,
                    mode: str, n_samples: int, seed: int, steps: int = 100,
                    n_scripts: int = 10, script_len: int = 8,
                    stochastic: bool = True) -> SweepResult:
@@ -276,19 +275,11 @@ def guidance_sweep(checkpoint: Checkpoint, world: World, speakers, gammas,
         raise EvalError("gammas must be nonempty")
     if any(b < a for a, b in zip(gammas, gammas[1:])):
         raise EvalError("gammas must be ascending")
-    rows = [
-        evaluate_cell(checkpoint.model, world, speakers, mode, gamma,
+    return SweepResult(rows=[
+        evaluate_cell(model, world, speakers, mode, gamma,
                       n_samples, seed, steps, n_scripts, script_len, stochastic)
         for gamma in gammas
-    ]
-    fingerprint = {
-        "world_hash": checkpoint.world_hash,
-        "checkpoint_hash": checkpoint_hash(checkpoint),
-        "mode": mode,
-        "seed": seed,
-        "gammas": [float(g) for g in gammas],
-    }
-    return SweepResult(rows=rows, fingerprint=fingerprint)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,15 @@ trainable null row used for the unconditional path.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import MelworldError, ParamStore, Tensor
+
+if TYPE_CHECKING:
+    from .training import ModelConfig
 
 
 class StyleError(MelworldError):
@@ -23,13 +28,11 @@ class StyleError(MelworldError):
 class StyleEncoder:
     """Per-frame MLP followed by symmetric mean pooling."""
 
-    def __init__(self, frame_dim: int, style_dim: int = 16, hidden: int = 64,
-                 n_hidden: int = 2, seed: int = 0):
+    def __init__(self, frame_dim: int, config: ModelConfig):
         self.frame_dim = frame_dim
-        self.style_dim = style_dim
-        self.n_layers = n_hidden + 1
-        self.params = ParamStore(seed, "style_encoder")
-        sizes = [frame_dim] + [hidden] * n_hidden + [style_dim]
+        self.n_layers = config.n_hidden + 1
+        self.params = ParamStore(config.seed, "style_encoder")
+        sizes = [frame_dim] + [config.hidden] * config.n_hidden + [config.style_dim]
         ad.mlp_init(self.params, "net", sizes)
 
     def encode_t(self, frames: Tensor) -> Tensor:
@@ -56,11 +59,10 @@ class EmotionTable:
     at index ``n_emotions`` and never aliased to a real emotion row. Every
     lookup goes through the methods below; they own that row layout."""
 
-    def __init__(self, n_emotions: int, dim: int = 8, seed: int = 0):
+    def __init__(self, n_emotions: int, config: ModelConfig):
         self.n_emotions = n_emotions
-        self.dim = dim
-        self.params = ParamStore(seed, "emotion_table")
-        self.params.add("emb", (n_emotions + 1, dim))
+        self.params = ParamStore(config.seed, "emotion_table")
+        self.params.add("emb", (n_emotions + 1, config.emotion_dim))
 
     @property
     def null_index(self) -> int:
@@ -81,29 +83,26 @@ class EmotionTable:
         return ad.gather_rows(self.params["emb"], np.asarray(indices, dtype=np.int64))
 
     def embed(self, labels) -> np.ndarray:
-        """Embedding rows of emotion ids (n,), shape (n, dim)."""
+        """Embedding rows of emotion ids (n,), shape (n, emotion_dim)."""
         return self.params["emb"].data[self.row_indices(labels)]
 
     def embed_null(self, n: int) -> np.ndarray:
-        """The null row, once per utterance: shape (n, dim)."""
+        """The null row, once per utterance: shape (n, emotion_dim)."""
         return self.params["emb"].data[np.full(n, self.null_index)]
 
 
 class Generator:
     """Per-token MLP from concat(token embedding, style, emotion) to a prior-mean row."""
 
-    def __init__(self, vocab: int, frame_dim: int, style_dim: int = 16,
-                 emotion_dim: int = 8, token_dim: int = 8, hidden: int = 64,
-                 n_hidden: int = 2, seed: int = 0):
+    def __init__(self, vocab: int, frame_dim: int, config: ModelConfig):
         self.vocab = vocab
-        self.frame_dim = frame_dim
-        self.style_dim = style_dim
-        self.emotion_dim = emotion_dim
-        self.token_dim = token_dim
-        self.n_layers = n_hidden + 1
-        self.params = ParamStore(seed, "generator")
-        self.params.add("tok", (vocab, token_dim))
-        sizes = [token_dim + style_dim + emotion_dim] + [hidden] * n_hidden + [frame_dim]
+        self.style_dim = config.style_dim
+        self.emotion_dim = config.emotion_dim
+        self.n_layers = config.n_hidden + 1
+        self.params = ParamStore(config.seed, "generator")
+        self.params.add("tok", (vocab, config.token_dim))
+        sizes = ([config.token_dim + self.style_dim + self.emotion_dim]
+                 + [config.hidden] * config.n_hidden + [frame_dim])
         ad.mlp_init(self.params, "net", sizes)
 
     def _check_tokens(self, tokens) -> np.ndarray:

@@ -41,7 +41,8 @@ from scipy.special import softmax as np_softmax
 from . import autodiff as ad
 from . import checkpoint as ckpt_io
 from .autodiff import GraphError, MelworldError, ParamStore, Tensor
-from .diffusion import DiffusionError, NoiseSchedule, ScoreNet, dsm_loss_t, perturb, time_embedding
+from .diffusion import (TIME_EMB_DIM, DiffusionError, NoiseSchedule, ScoreNet, dsm_loss_t,
+                        perturb, time_embedding)
 from .stylegen import EmotionTable, Generator, StyleEncoder
 from .world import World, SpeakerSplit, neutral_references, sample_utterance_batch, world_hash
 
@@ -60,10 +61,10 @@ class ModelConfig:
     hidden: int = 64  # MLP hidden width
     n_hidden: int = 2  # MLP hidden layers
     clf_hidden: int = 64  # noisy classifier hidden width
-    beta0: float = 0.05  # noise schedule start
-    beta1: float = 20.0  # noise schedule end
-    t_final: float = 1.0  # terminal diffusion time
-    t_min: float = 1e-3  # lower time cutoff
+    beta0: float = NoiseSchedule.beta0  # noise schedule start
+    beta1: float = NoiseSchedule.beta1  # noise schedule end
+    t_final: float = NoiseSchedule.T  # terminal diffusion time
+    t_min: float = NoiseSchedule.t_min  # lower time cutoff
     seed: int = 0  # parameter initialization seed
 
     def __post_init__(self):
@@ -71,6 +72,11 @@ class ModelConfig:
         if min(widths) < 1 or self.n_hidden < 0:
             raise TrainingError("style_dim, emotion_dim, token_dim, hidden and clf_hidden "
                                 "must be >= 1 and n_hidden >= 0")
+
+    @property
+    def schedule(self) -> NoiseSchedule:
+        """The noise schedule of the four schedule fields."""
+        return NoiseSchedule(self.beta0, self.beta1, self.t_final, self.t_min)
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,6 @@ class EmotionProbeHead:
     """Softmax probe over the style vector; the DAT adversary."""
 
     def __init__(self, style_dim: int, n_emotions: int, hidden: int = 32, seed: int = 0):
-        self.style_dim = style_dim
-        self.n_emotions = n_emotions
         self.n_layers = 2
         self.params = ParamStore(seed, "probe")
         ad.mlp_init(self.params, "net", [style_dim, hidden, n_emotions])
@@ -143,18 +147,18 @@ class NoisyClassifier:
     parameters' arrays (``posterior``, ``grad_log_prob``).
     """
 
-    def __init__(self, frame_dim: int, n_emotions: int, hidden: int = 64,
-                 n_hidden: int = 2, seed: int = 0):
+    def __init__(self, frame_dim: int, n_emotions: int, config: ModelConfig):
         self.frame_dim = frame_dim
         self.n_emotions = n_emotions
-        self.n_layers = n_hidden + 1
-        self.params = ParamStore(seed, "noisy_clf")
-        ad.mlp_init(self.params, "net", [frame_dim + 5] + [hidden] * n_hidden + [n_emotions])
+        self.n_layers = config.n_hidden + 1
+        self.params = ParamStore(config.seed, "noisy_clf")
+        ad.mlp_init(self.params, "net", [frame_dim + TIME_EMB_DIM]
+                    + [config.clf_hidden] * config.n_hidden + [n_emotions])
 
     def _time_rows(self, y_t: np.ndarray, t) -> np.ndarray:
         if y_t.ndim != 3 or y_t.shape[-1] != self.frame_dim:
             raise TrainingError(f"expected frames (n, L, D={self.frame_dim}), got {y_t.shape}")
-        return np.broadcast_to(time_embedding(t), (y_t.shape[0], 5)).copy()
+        return np.broadcast_to(time_embedding(t), (y_t.shape[0], TIME_EMB_DIM)).copy()
 
     def _input_t(self, y_t: Tensor, t) -> Tensor:
         temb = self._time_rows(y_t.data, t)
@@ -206,9 +210,6 @@ class NoisyClassifier:
 class Model:
     """All trainable components plus the noise schedule they were built for."""
 
-    frame_dim: int
-    vocab: int
-    n_emotions: int
     config: ModelConfig
     encoder: StyleEncoder
     table: EmotionTable
@@ -219,38 +220,22 @@ class Model:
     schedule: NoiseSchedule
 
     def stores(self) -> dict[str, ParamStore]:
-        return {
-            "style_encoder": self.encoder.params,
-            "emotion_table": self.table.params,
-            "generator": self.generator.params,
-            "scorenet": self.scorenet.params,
-            "probe": self.probe.params,
-            "noisy_clf": self.noisy_clf.params,
-        }
+        return {c.params.name: c.params for c in (self.encoder, self.table, self.generator,
+                                                  self.scorenet, self.probe, self.noisy_clf)}
 
 
 def build_model(world: World, config: ModelConfig = ModelConfig()) -> Model:
     """Fresh components for ``world``; only its ``frame_dim``, ``vocab`` and
     ``n_emotions`` are read, so a checkpoint's stored dims serve as well."""
-    seed = config.seed
-    schedule = NoiseSchedule(config.beta0, config.beta1, config.t_final, config.t_min)
     return Model(
-        frame_dim=world.frame_dim,
-        vocab=world.vocab,
-        n_emotions=world.n_emotions,
         config=config,
-        encoder=StyleEncoder(world.frame_dim, config.style_dim, config.hidden,
-                             config.n_hidden, seed=seed),
-        table=EmotionTable(world.n_emotions, config.emotion_dim, seed=seed),
-        generator=Generator(world.vocab, world.frame_dim, config.style_dim,
-                            config.emotion_dim, config.token_dim, config.hidden,
-                            config.n_hidden, seed=seed),
-        scorenet=ScoreNet(world.frame_dim, config.style_dim, config.emotion_dim,
-                          config.hidden, config.n_hidden, seed=seed, schedule=schedule),
-        probe=EmotionProbeHead(config.style_dim, world.n_emotions, seed=seed),
-        noisy_clf=NoisyClassifier(world.frame_dim, world.n_emotions,
-                                  config.clf_hidden, config.n_hidden, seed=seed),
-        schedule=schedule,
+        encoder=StyleEncoder(world.frame_dim, config),
+        table=EmotionTable(world.n_emotions, config),
+        generator=Generator(world.vocab, world.frame_dim, config),
+        scorenet=ScoreNet(world.frame_dim, config),
+        probe=EmotionProbeHead(config.style_dim, world.n_emotions, seed=config.seed),
+        noisy_clf=NoisyClassifier(world.frame_dim, world.n_emotions, config),
+        schedule=config.schedule,
     )
 
 
@@ -290,9 +275,9 @@ class Checkpoint:
             "model_config": asdict(self.model.config),
             "train_config": asdict(self.train_config),
             "dims": {
-                "frame_dim": self.model.frame_dim,
-                "vocab": self.model.vocab,
-                "n_emotions": self.model.n_emotions,
+                "frame_dim": self.model.encoder.frame_dim,
+                "vocab": self.model.generator.vocab,
+                "n_emotions": self.model.table.n_emotions,
             },
             "world_hash": self.world_hash,
             "step": self.step,

@@ -382,7 +382,7 @@ def load_world(text: str) -> World:
                 raise WorldError(f"non-finite entry in matrix '{name}' at line {number}")
             if len(row) != sizes.frame_dim:
                 raise WorldError(f"matrix '{name}' row has {len(row)} values, "
-                                 f"expected {sizes.frame_dim}")
+                                 f"expected {sizes.frame_dim} at line {number}")
             rows.append(row)
         matrices[name] = np.array(rows, dtype=np.float64)
         i += n_rows + 1

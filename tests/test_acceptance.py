@@ -102,8 +102,7 @@ def test_criterion_4_score_learning(acc_world):
     world = acc_world
     schedule = mw.NoiseSchedule()
     speaker, emotion = 0, 1
-    net = mw.ScoreNet(world.frame_dim, 16, 8, hidden=64, n_hidden=3, seed=0,
-                      schedule=schedule)
+    net = mw.ScoreNet(world.frame_dim, mw.ModelConfig(n_hidden=3))
     rng = np.random.default_rng(0)
     base = world.speaker_base[speaker] + world.emotion_offset[emotion]
     batch = 128

@@ -108,6 +108,55 @@ def test_roundtrip_keeps_a_reinitialised_probe_seed():
     assert loaded.to_bytes() == raw
 
 
+def _mlp_shapes(prefix: str, sizes: list) -> dict:
+    """Parameter shapes of an MLP with layer sizes ``sizes``."""
+    shapes = {}
+    for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        shapes[f"{prefix}.w{i}"], shapes[f"{prefix}.b{i}"] = (n_in, n_out), (n_out,)
+    return shapes
+
+
+@pytest.mark.parametrize("n_hidden", [0, 3])
+def test_every_store_has_the_shapes_and_seed_the_config_names(n_hidden):
+    # every width distinct, clf_hidden != hidden, and world sizes off the defaults
+    d, vocab, n_emo = 6, 9, 3
+    world = mw.make_world(WorldConfig(frame_dim=d, vocab=vocab, n_emotions=n_emo), seed=1)
+    s, e, tok, h, c = 5, 3, 7, 11, 6
+    config = mw.ModelConfig(style_dim=s, emotion_dim=e, token_dim=tok, hidden=h,
+                            clf_hidden=c, n_hidden=n_hidden, seed=13)
+    hid = [h] * n_hidden
+    expected = {
+        "style_encoder": _mlp_shapes("net", [d] + hid + [s]),
+        "emotion_table": {"emb": (n_emo + 1, e)},
+        "generator": {"tok": (vocab, tok), **_mlp_shapes("net", [tok + s + e] + hid + [d])},
+        "scorenet": {**_mlp_shapes("net", [d + 5 + d + s + e] + hid + [d]),
+                     **_mlp_shapes("skip", [5, 16, 1])},
+        "probe": _mlp_shapes("net", [s, 32, n_emo]),
+        "noisy_clf": _mlp_shapes("net", [d + 5] + [c] * n_hidden + [n_emo]),
+    }
+    model = mw.build_model(world, config)
+    assert list(model.stores()) == list(expected)
+    for name, store in model.stores().items():
+        assert store.seed == 13, name
+        assert {p: t.data.shape for p, t in store.tensors().items()} == expected[name], name
+
+    # a trained checkpoint of those sizes rebuilds every store bitwise
+    split = mw.split_speakers(world, 6, seed=0)
+    train_config = mw.TrainConfig(steps=2, batch_size=2, dat_probe_steps=1, clf_steps=2,
+                                  clf_batch=2, utt_len=3)
+    ckpt = mw.train_model(world, split, train_config, config)
+    mw.train_noisy_classifier(world, split, ckpt.model, train_config)
+    raw = ckpt.to_bytes()
+    loaded = mw.Checkpoint.from_bytes(raw)
+    assert loaded.model.config == config
+    for name, store in ckpt.model.stores().items():
+        other = loaded.model.stores()[name]
+        assert other.seed == store.seed
+        for pname, tensor in store.tensors().items():
+            assert other[pname].data.tobytes() == tensor.data.tobytes(), (name, pname)
+    assert loaded.to_bytes() == raw
+
+
 @lru_cache(maxsize=None)
 def _small_checkpoint() -> bytes:
     """A real checkpoint of one training step with every width at 2-3."""

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, config validation, artifacts,
 reproducibility."""
 
+import hashlib
 import json
 import os
 import re
@@ -479,3 +480,28 @@ def test_train_reproducible_losses(tmp_path):
     assert (out_a / "losses.jsonl").read_bytes() == (out_b / "losses.jsonl").read_bytes()
     assert (out_a / "checkpoint.bin").read_bytes() == (out_b / "checkpoint.bin").read_bytes()
     assert (out_a / "styles.tsv").read_bytes() == (out_b / "styles.tsv").read_bytes()
+
+
+# sha256 of each artifact of a short train -> train-clf -> CG sample flow; a
+# refactor that keeps behaviour keeps every byte
+_FLOW_BYTES = {
+    "train/checkpoint.bin": "4e851a7e2d9b886cd16e752e1dfb660f9796e4cf9999db40dd1a55ba2d27efec",
+    "clf/checkpoint.bin": "575426dfaf4108b5c88bbe32573f64786046493d8db161d015601a10a76d6178",
+    "cg/samples.jsonl": "ce5d3e1ae591d8048e436a7cfc584dca9a3e98ca93767d41c463d6db6df1060e",
+}
+
+
+def test_train_train_clf_and_cg_sample_bytes_pinned(tmp_path):
+    # a probe reinitialization every 15 steps, so the reinitialised probe's
+    # sizes and seed reach the checkpoint too
+    fast = FAST_TRAIN + ["--set", "train.steps=40", "--set", "train.dat_probe_reinit=15"]
+    assert main(["train", "--outdir", str(tmp_path / "train")] + fast) == 0
+    assert main(["train-clf", "--checkpoint", str(tmp_path / "train" / "checkpoint.bin"),
+                 "--outdir", str(tmp_path / "clf")] + fast) == 0
+    assert main(["sample", "--checkpoint", str(tmp_path / "clf" / "checkpoint.bin"),
+                 "--outdir", str(tmp_path / "cg"), "--set", "sample.mode=cg",
+                 "--set", "sample.gamma=50", "--set", "sample.n=2",
+                 "--set", "sample.steps=10"]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in _FLOW_BYTES}
+    assert got == _FLOW_BYTES

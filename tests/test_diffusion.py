@@ -107,7 +107,7 @@ def test_perturb_target_is_conditional_score(schedule):
 
 
 def test_estimate_score_identical_rows(schedule):
-    net = mw.ScoreNet(4, 16, 8, seed=0)
+    net = mw.ScoreNet(4, mw.ModelConfig())
     y = np.tile(np.array([[0.3, -1.0, 0.2, 0.9]]), (1, 3, 1))
     mu = np.tile(np.array([[0.1, 0.1, -0.4, 0.0]]), (1, 3, 1))
     s = np.zeros((1, 16))
@@ -118,7 +118,7 @@ def test_estimate_score_identical_rows(schedule):
 
 
 def test_estimate_score_deterministic():
-    net = mw.ScoreNet(4, 16, 8, seed=0)
+    net = mw.ScoreNet(4, mw.ModelConfig())
     rng = np.random.default_rng(4)
     args = (rng.standard_normal((1, 2, 4)), 0.3, rng.standard_normal((1, 2, 4)),
             rng.standard_normal((1, 16)), rng.standard_normal((1, 8)))
@@ -128,7 +128,7 @@ def test_estimate_score_deterministic():
 def test_score_net_reduces_to_prior_score(schedule):
     # with both learned parts (the MLP and g) at zero, the skip term alone
     # gives the N(mu, I) prior score -(y_t - mu) at every t
-    net = mw.ScoreNet(4, 16, 8, seed=0)
+    net = mw.ScoreNet(4, mw.ModelConfig())
     last = net.n_layers - 1
     for name in (f"net.w{last}", f"net.b{last}", "skip.w1", "skip.b1"):
         net.params[name].data[:] = 0.0
@@ -143,7 +143,7 @@ def test_score_net_reduces_to_prior_score(schedule):
 
 
 def test_estimate_score_shape_mismatch():
-    net = mw.ScoreNet(4, 16, 8, seed=0)
+    net = mw.ScoreNet(4, mw.ModelConfig())
     with pytest.raises(DiffusionError):
         net(np.zeros((1, 2, 4)), 0.3, np.zeros((1, 3, 4)), np.zeros((1, 16)), np.zeros((1, 8)))
 
@@ -170,7 +170,7 @@ def test_dsm_loss_zero_for_perfect_estimator(schedule):
 
 
 def test_dsm_loss_nonnegative(schedule):
-    net = mw.ScoreNet(4, 16, 8, seed=1)
+    net = mw.ScoreNet(4, mw.ModelConfig(seed=1))
     rng = np.random.default_rng(6)
     for i in range(100):
         y0 = rng.standard_normal((2, 3, 4))
@@ -180,7 +180,7 @@ def test_dsm_loss_nonnegative(schedule):
 
 
 def test_dsm_loss_rejects_empty(schedule):
-    net = mw.ScoreNet(4, 16, 8, seed=1)
+    net = mw.ScoreNet(4, mw.ModelConfig(seed=1))
     with pytest.raises(DiffusionError):
         dsm_loss_t(net, np.zeros((0, 3, 4)), np.zeros((0, 3, 4)), np.zeros((0, 16)),
                    np.zeros((0, 8)), schedule, np.random.default_rng(0))
@@ -188,7 +188,8 @@ def test_dsm_loss_rejects_empty(schedule):
 
 def test_dsm_gradcheck_tiny_instance(schedule):
     # D=2, L=1, width 8: finite differences through the whole loss
-    net = mw.ScoreNet(2, 3, 2, hidden=8, n_hidden=1, seed=2)
+    net = mw.ScoreNet(2, mw.ModelConfig(style_dim=3, emotion_dim=2, hidden=8,
+                                        n_hidden=1, seed=2))
     y0 = np.random.default_rng(7).standard_normal((2, 1, 2))
     s = np.random.default_rng(8).standard_normal((2, 3))
     e = np.random.default_rng(9).standard_normal((2, 2))
@@ -257,7 +258,7 @@ def test_sample_reverse_zero_score_expands_from_prior(schedule):
 
 
 def test_sample_reverse_deterministic(schedule):
-    net = mw.ScoreNet(4, 16, 8, seed=0)
+    net = mw.ScoreNet(4, mw.ModelConfig())
     mu = np.random.default_rng(1).standard_normal((1, 3, 4))
     s, e = np.zeros((1, 16)), np.zeros((1, 8))
     a = mw.sample_reverse(net, mu, s, e, schedule, 25, seed=5)
@@ -291,14 +292,14 @@ def test_sampler_guard_allows_prior_means_far_apart(schedule):
 
 
 def test_sample_reverse_rejects_zero_steps(schedule):
-    net = mw.ScoreNet(4, 16, 8, seed=0)
+    net = mw.ScoreNet(4, mw.ModelConfig())
     with pytest.raises(DiffusionError):
         mw.sample_reverse(net, np.zeros((1, 1, 4)), np.zeros((1, 16)), np.zeros((1, 8)),
                           schedule, 0, seed=0)
 
 
 def test_step_halving_error_ratio(schedule):
-    net = mw.ScoreNet(4, 16, 8, seed=5)
+    net = mw.ScoreNet(4, mw.ModelConfig(seed=5))
     mu = np.random.default_rng(2).standard_normal((1, 2, 4))
     s, e = np.zeros((1, 16)), np.zeros((1, 8))
     outs = {n: mw.sample_reverse(net, mu, s, e, schedule, n, seed=7, stochastic=False)
@@ -480,7 +481,7 @@ def test_cg_analytic_everything_matches_conditional_sampler():
 
 
 def test_trajectory_dump(schedule):
-    net = mw.ScoreNet(4, 16, 8, seed=0)
+    net = mw.ScoreNet(4, mw.ModelConfig())
     trajectory = []
     mw.sample_reverse(net, np.zeros((1, 1, 4)), np.zeros((1, 16)), np.zeros((1, 8)), schedule,
                       5, seed=0, trajectory=trajectory)

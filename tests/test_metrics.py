@@ -177,7 +177,7 @@ def ckpt(world):
 
 def test_guidance_sweep_rows_and_csv(world, ckpt):
     checkpoint, split = ckpt
-    result = guidance_sweep(checkpoint, world, split.seen, [0.0, 1.0], "cfg",
+    result = guidance_sweep(checkpoint.model, world, split.seen, [0.0, 1.0], "cfg",
                             n_samples=8, seed=0, steps=10)
     assert len(result.rows) == 2
     csv = result.to_csv()
@@ -188,17 +188,17 @@ def test_guidance_sweep_rows_and_csv(world, ckpt):
 
 def test_guidance_sweep_deterministic_bytes(world, ckpt):
     checkpoint, split = ckpt
-    a = guidance_sweep(checkpoint, world, split.seen, [0.0], "cfg", 6, seed=1, steps=8)
-    b = guidance_sweep(checkpoint, world, split.seen, [0.0], "cfg", 6, seed=1, steps=8)
+    a = guidance_sweep(checkpoint.model, world, split.seen, [0.0], "cfg", 6, seed=1, steps=8)
+    b = guidance_sweep(checkpoint.model, world, split.seen, [0.0], "cfg", 6, seed=1, steps=8)
     assert a.to_csv() == b.to_csv()
 
 
 def test_guidance_sweep_rejects_bad_gammas(world, ckpt):
     checkpoint, split = ckpt
     with pytest.raises(EvalError):
-        guidance_sweep(checkpoint, world, split.seen, [], "cfg", 4, seed=0)
+        guidance_sweep(checkpoint.model, world, split.seen, [], "cfg", 4, seed=0)
     with pytest.raises(EvalError):
-        guidance_sweep(checkpoint, world, split.seen, [1.0, 0.5], "cfg", 4, seed=0)
+        guidance_sweep(checkpoint.model, world, split.seen, [1.0, 0.5], "cfg", 4, seed=0)
 
 
 def test_evaluate_cell_modes(world, ckpt):

@@ -12,17 +12,17 @@ from melworld.world import sample_utterance_batch
 
 @pytest.fixture
 def encoder():
-    return mw.StyleEncoder(8, seed=0)
+    return mw.StyleEncoder(8, mw.ModelConfig())
 
 
 @pytest.fixture
 def table():
-    return mw.EmotionTable(4, seed=1)
+    return mw.EmotionTable(4, mw.ModelConfig(seed=1))
 
 
 @pytest.fixture
 def generator():
-    return mw.Generator(10, 8, seed=2)
+    return mw.Generator(10, 8, mw.ModelConfig(seed=2))
 
 
 def test_encode_style_permutation_invariant_bitwise(encoder):
@@ -149,7 +149,7 @@ def test_batch_matches_single(generator, table):
 
 def test_emotion_changes_mu_but_not_style(generator, table):
     # the architectural seam: emotion conditioning enters after the encoder
-    encoder = mw.StyleEncoder(8, seed=9)
+    encoder = mw.StyleEncoder(8, mw.ModelConfig(seed=9))
     frames = np.random.default_rng(7).standard_normal((1, 5, 8))
     s = encoder.encode(frames)
     mu_a = generator.generate([[1, 2]], s, table.embed([1]))

@@ -57,7 +57,7 @@ def dat_grads(encoder, probe, frames, labels, alpha):
 
 
 def test_dat_step_alpha_scaling(world):
-    encoder = mw.StyleEncoder(world.frame_dim, seed=1)
+    encoder = mw.StyleEncoder(world.frame_dim, mw.ModelConfig(seed=1))
     probe = EmotionProbeHead(16, world.n_emotions, seed=2)
     rng = np.random.default_rng(0)
     frames = rng.standard_normal((6, 4, world.frame_dim))
@@ -71,7 +71,8 @@ def test_dat_step_alpha_scaling(world):
 
 def test_dat_step_encoder_grad_is_minus_alpha_times_plain(world):
     # hand-checkable single-layer instance
-    encoder = mw.StyleEncoder(world.frame_dim, style_dim=4, hidden=8, n_hidden=0, seed=3)
+    encoder = mw.StyleEncoder(world.frame_dim,
+                              mw.ModelConfig(style_dim=4, hidden=8, n_hidden=0, seed=3))
     probe = EmotionProbeHead(4, world.n_emotions, seed=4)
     rng = np.random.default_rng(1)
     frames = rng.standard_normal((3, 2, world.frame_dim))
@@ -93,7 +94,7 @@ def test_dat_step_encoder_grad_is_minus_alpha_times_plain(world):
 
 
 def test_dat_step_probe_descends(world):
-    encoder = mw.StyleEncoder(world.frame_dim, seed=5)
+    encoder = mw.StyleEncoder(world.frame_dim, mw.ModelConfig(seed=5))
     probe = EmotionProbeHead(16, world.n_emotions, seed=6)
     rng = np.random.default_rng(2)
     frames = rng.standard_normal((8, 3, world.frame_dim))
@@ -113,7 +114,7 @@ def test_dat_step_probe_descends(world):
 
 def test_dat_sign_property(world):
     # a step on L_e alone moves the encoder uphill and the probe downhill
-    encoder = mw.StyleEncoder(world.frame_dim, seed=7)
+    encoder = mw.StyleEncoder(world.frame_dim, mw.ModelConfig(seed=7))
     probe = EmotionProbeHead(16, world.n_emotions, seed=8)
     rng = np.random.default_rng(3)
     frames = rng.standard_normal((16, 4, world.frame_dim))
@@ -200,7 +201,7 @@ def test_null_rows_leave_encoder_untouched(world, split):
 def test_probe_updates_match_reencoding_every_update(world):
     # the probe-only updates on a style encoded once equal the updates that
     # re-encode the frames every time, and leave the encoder untouched
-    encoder = StyleEncoder(world.frame_dim, seed=1)
+    encoder = StyleEncoder(world.frame_dim, mw.ModelConfig(seed=1))
     rng = np.random.default_rng(0)
     labels = rng.integers(0, world.n_emotions, size=8)
     frames = sample_utterance_batch(world, rng.integers(0, 6, size=8), labels,

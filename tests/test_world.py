@@ -364,6 +364,18 @@ def test_load_world_rejects_non_finite_entries(world, name, value):
         load_world("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("name", ["speaker_base", "emotion_offset", "token_effect"])
+def test_load_world_rejects_a_row_of_the_wrong_length(world, name, delta):
+    lines = dump_world(world).splitlines()
+    row = lines.index(name) + 4  # the 1-based line of the matrix's third row
+    n = world.frame_dim + delta
+    lines[row - 1] = " ".join(["0.5"] * n)
+    with pytest.raises(WorldError, match=f"matrix '{name}' row has {n} values, expected "
+                                         f"{world.frame_dim} at line {row}$"):
+        load_world("\n".join(lines) + "\n")
+
+
 def test_load_world_rejects_garbage():
     with pytest.raises(WorldError):
         load_world("not a world\n")
