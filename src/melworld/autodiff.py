@@ -3,15 +3,18 @@
 Supports exactly the operations needed for small MLPs, softmax classifiers,
 and gradient reversal: affine, tanh, relu, softmax (plus a fused
 softmax/cross-entropy), log, elementwise add/sub/mul, concat, broadcast,
-row gather, sum/mean, squared error, and ``grad_reverse``.
+row gather, sum/mean, squared error, and ``grad_reverse``. A whole tanh MLP
+is one node (:func:`mlp_apply`); its backward, :func:`mlp_backward`, is
+also what graph-free callers run.
 
 Graphs are built define-by-run: every operation appends a node with a
 monotonically increasing id, so construction order is a topological order
 and the backward pass visits nodes in exact reverse construction order.
 That makes forward and backward results bitwise reproducible for identical
 inputs. All data is float64; in a graph, non-finite values are rejected at
-every node boundary with an error naming the offending node. Inference
-builds no graph (:func:`mlp_eval`); samplers check finiteness per step.
+every node boundary with an error naming the offending node, and inside
+an MLP node at every layer. Inference builds no graph (:func:`mlp_eval`);
+samplers check finiteness per step.
 """
 
 from __future__ import annotations
@@ -583,28 +586,59 @@ def mlp_init(store: ParamStore, prefix: str, sizes: list[int]) -> None:
         store.add(f"{prefix}.b{i}", (n_out,), init="zeros")
 
 
-def mlp_apply(store: ParamStore, prefix: str, x: Tensor, n_layers: int) -> Tensor:
-    """Forward an MLP registered by :func:`mlp_init`: tanh hidden layers and
-    a linear final layer."""
-    h = x
-    for i in range(n_layers):
-        h = affine(h, store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
-        if i < n_layers - 1:
-            h = tanh(h)
-    return h
+def mlp_apply(store: ParamStore, prefix: str, x, n_layers: int) -> Tensor:
+    """The MLP of :func:`mlp_init` (tanh hidden layers, a linear final layer)
+    as one graph node, bitwise the chain of ``affine`` and ``tanh`` nodes."""
+    x = _constant(x)
+    layers: list = []
+    out = mlp_eval(store, prefix, x.data, n_layers, layers, f"{store.name}.{prefix}")
+
+    def backward(g):
+        gx, grads = mlp_backward(store, prefix, layers, g, x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx)
+        for name, grad in grads.items():
+            store[name]._accumulate(grad)
+
+    params = tuple(store[f"{prefix}.{p}{i}"] for i in range(n_layers) for p in "wb")
+    return _make("mlp", out, (x, *params), backward)
 
 
 def mlp_eval(store: ParamStore, prefix: str, x: np.ndarray, n_layers: int,
-             hidden: list | None = None) -> np.ndarray:
-    """:func:`mlp_apply` (tanh) on the parameters' arrays, in place and with
-    no graph: the same operations in the same order, so bitwise equal.
-    ``hidden``, if given, receives each hidden layer's activation."""
+             layers: list | None = None, check: str | None = None) -> np.ndarray:
+    """The MLP on the parameters' arrays, in place and with no graph.
+    ``layers`` receives each layer's input for :func:`mlp_backward`. With
+    ``check``, a non-finite pre-activation raises ``GraphError`` naming
+    ``check`` and the layer (``tanh`` would hide an infinite one)."""
     h = x
     for i in range(n_layers):
+        if layers is not None:
+            layers.append(h)
         h = h @ store[f"{prefix}.w{i}"].data
         h += store[f"{prefix}.b{i}"].data
+        if check is not None:
+            _check_finite(h, f"{check} layer {i}")
         if i < n_layers - 1:
             np.tanh(h, out=h)
-            if hidden is not None:
-                hidden.append(h)
     return h
+
+
+def mlp_backward(store: ParamStore, prefix: str, layers: list, g: np.ndarray,
+                 input_grad: bool = True,
+                 param_grads: bool = True) -> tuple[np.ndarray | None, dict]:
+    """The one layer backward, from the layer inputs :func:`mlp_eval` kept
+    and the output gradient ``g``: the input gradient (if ``input_grad``) and
+    the gradient per parameter name (if ``param_grads``). Per layer, in the
+    ``affine`` and ``tanh`` nodes' operations: ``x.T @ g`` and ``g.sum(0)``
+    over flattened rows, ``g @ w.T``, then ``g * (1 - h*h)``."""
+    grads = {}
+    for i in reversed(range(len(layers))):
+        if param_grads:
+            rows = g.reshape(-1, g.shape[-1])
+            grads[f"{prefix}.w{i}"] = layers[i].reshape(-1, layers[i].shape[-1]).T @ rows
+            grads[f"{prefix}.b{i}"] = rows.sum(axis=0)
+        if i or input_grad:
+            g = g @ store[f"{prefix}.w{i}"].data.T
+        if i:
+            g *= 1.0 - layers[i] * layers[i]
+    return (g if input_grad else None), grads

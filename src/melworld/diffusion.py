@@ -304,9 +304,9 @@ def _integrate(score_fn, mu: np.ndarray, schedule: NoiseSchedule, steps: int,
         beta = float(schedule.beta(t))
         score = score_fn(y, t)
         # the reverse SDE; the probability-flow ODE halves the score and adds no noise
-        y = y - h * beta * (0.5 * (mu - y) - (score if stochastic else 0.5 * score))
+        y -= h * beta * (0.5 * (mu - y) - (score if stochastic else 0.5 * score))
         if stochastic:
-            y = y + np.sqrt(beta * h) * rng.standard_normal(y.shape)
+            y += np.sqrt(beta * h) * rng.standard_normal(y.shape)
         if not (lo <= y.min() and y.max() <= hi):
             dev = np.abs(y - mu).max()  # nan or inf where the score was not finite
             if not dev <= _Y_LIMIT:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import MelworldError, Tensor
+from .autodiff import MelworldError
 from .diffusion import sample_cfg, sample_cg, sample_reverse
-from .training import Checkpoint, EmotionProbeHead, Model, sgd_update
+from .training import Checkpoint, EmotionProbeHead, Model
 from .world import World, condition_means, neutral_references, sample_utterance_batch
 
 
@@ -111,6 +110,8 @@ def probe_disentanglement(style_vectors, labels, budget: int = 2000,
     if vectors.ndim != 2 or vectors.shape[0] != labels_arr.size:
         raise EvalError("style vectors and labels must align")
     classes, counts = np.unique(labels_arr, return_counts=True)
+    if classes[0] < 0:
+        raise EvalError(f"labels must be nonnegative, got {classes[0]}")
     if counts.min() < 10:
         raise EvalError(f"every class needs at least 10 vectors, got {counts.min()}")
     n_classes = int(classes.max()) + 1
@@ -121,12 +122,7 @@ def probe_disentanglement(style_vectors, labels, budget: int = 2000,
     probe = EmotionProbeHead(vectors.shape[1], n_classes, seed=seed)
     for _ in range(budget):
         pick = rng.integers(0, train_idx.size, size=batch_size)
-        xb = vectors[train_idx[pick]]
-        yb = labels_arr[train_idx[pick]]
-        loss = ad.softmax_cross_entropy(probe.logits_t(Tensor(xb)), yb)
-        probe.params.zero_grad()
-        loss.backward()
-        sgd_update([probe.params], lr)
+        probe.descend(vectors[train_idx[pick]], labels_arr[train_idx[pick]], lr)
     pred = probe.posterior(vectors[test_idx]).argmax(axis=-1)
     return float(100.0 * (pred == labels_arr[test_idx]).mean())
 

@@ -138,6 +138,27 @@ class EmotionProbeHead:
     def posterior(self, style) -> np.ndarray:
         return np_softmax(self.logits(style), axis=-1)
 
+    def descend(self, style: np.ndarray, labels, lr: float) -> None:
+        """One SGD step of the probe alone at a constant style, with no graph;
+        bitwise ``softmax_cross_entropy(logits_t(style), labels)``, its
+        backward and ``sgd_update``. ``GraphError`` if a layer goes non-finite."""
+        layers = []
+        logits = ad.mlp_eval(self.params, "net", style, self.n_layers, layers, "probe.net")
+        _, g = _ce_grad(logits, labels)
+        _, grads = ad.mlp_backward(self.params, "net", layers, g, input_grad=False)
+        for name, grad in grads.items():
+            self.params[name].data = self.params[name].data - lr * grad
+
+
+def _ce_grad(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """softmax(logits) and d(mean cross-entropy at ``labels``)/d(logits), in
+    the operations of ``softmax_cross_entropy`` and its backward."""
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    posterior = p.copy()
+    p[np.arange(len(p)), labels] -= 1.0
+    return posterior, (1.0 / len(p)) * p
+
 
 class NoisyClassifier:
     """Emotion classifier on noisy frames: concat(row-pooled mean, time embedding).
@@ -191,18 +212,10 @@ class NoisyClassifier:
         bad = target[(target < 0) | (target >= self.n_emotions)]
         if bad.size:
             raise TrainingError(f"target {bad[0]} out of range [0, {self.n_emotions})")
-        hidden = []
-        logits = ad.mlp_eval(self.params, "net", x, self.n_layers, hidden)
-        p = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        p /= p.sum(axis=-1, keepdims=True)
-        posterior = p.copy()
-        # d(mean cross-entropy)/d(logits), then back through each layer
-        p[np.arange(n), target] -= 1.0
-        g = (1.0 / n) * p
-        for i in reversed(range(self.n_layers)):
-            g = g @ self.params[f"net.w{i}"].data.T
-            if i:
-                g *= 1.0 - hidden[i - 1] * hidden[i - 1]
+        layers = []
+        logits = ad.mlp_eval(self.params, "net", x, self.n_layers, layers)
+        posterior, g = _ce_grad(logits, target)
+        g, _ = ad.mlp_backward(self.params, "net", layers, g, param_grads=False)
         return -n * np.broadcast_to(g[:, None, :dim] / length, y_t.shape), posterior
 
 
@@ -335,17 +348,10 @@ def _detach_rows(x: Tensor, mask: np.ndarray) -> Tensor:
 
 def _probe_updates(probe: EmotionProbeHead, style: np.ndarray, labels,
                    steps: int, lr: float) -> None:
-    """``steps`` plain descent updates of the probe alone on a fixed style.
-
-    The style is a constant: only the probe moves between updates, so the
-    encoder is neither re-run nor reached by a backward pass.
-    """
-    style_t = Tensor(style)
+    """``steps`` updates of the probe alone on a constant style: the encoder
+    is neither re-run nor reached by a backward pass."""
     for _ in range(steps):
-        loss = ad.softmax_cross_entropy(probe.logits_t(style_t), labels)
-        probe.params.zero_grad()
-        loss.backward()
-        sgd_update([probe.params], lr)
+        probe.descend(style, labels, lr)
 
 
 def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainConfig(),
@@ -412,12 +418,12 @@ def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainCo
             for store in stores:
                 store.zero_grad()
             total.backward()
+            grad_norm = sgd_update(stores, config.lr, config.clip_norm)
+            if config.w_dat > 0 and config.dat_probe_steps:
+                _probe_updates(model.probe, model.encoder.encode(frames), emotions,
+                               config.dat_probe_steps, config.dat_probe_lr)
         except GraphError as exc:
             raise TrainingError(f"divergence at step {i}: {exc}") from exc
-        grad_norm = sgd_update(stores, config.lr, config.clip_norm)
-        if config.w_dat > 0 and config.dat_probe_steps:
-            _probe_updates(model.probe, model.encoder.encode(frames), emotions,
-                           config.dat_probe_steps, config.dat_probe_lr)
         if trace is not None:
             trace.append({
                 "step": i,

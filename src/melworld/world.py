@@ -43,6 +43,10 @@ _SPEAKER_SCALE = 1.0
 _EMOTION_SCALE = 0.5
 _TOKEN_SCALE = 0.5
 _MAX_RESAMPLES = 1000
+# an oracle's (components, n, L, D) block of at most this many values
+# (128 KiB) takes its squared distances in one temporary block; a larger one
+# streams its components through one (n, L, D) buffer instead
+_SMALL_BLOCK = 16384
 
 _FORMAT_HEADER = "melworld world v1"
 
@@ -227,6 +231,7 @@ def _mixture(world: World, speaker_prior, emotion, mu, y_t, t: float, schedule,
     Returns (Y_t as an (n, L, D) batch, the leading shape of ``y_t``, () or
     (n,), to give the results, per-component perturbed means m_t of shape
     (C, n, L, D), joint log-likelihoods of shape (C, n), marginal variance v).
+    m_t is the caller's to overwrite.
     """
     y = np.asarray(y_t, dtype=np.float64)
     if y.ndim not in (2, 3):
@@ -234,7 +239,7 @@ def _mixture(world: World, speaker_prior, emotion, mu, y_t, t: float, schedule,
                          f"array, got shape {y.shape}")
     lead = y.shape[:-2]
     y = y.reshape((-1,) + y.shape[-2:])
-    mu_b = np.broadcast_to(np.asarray(mu, dtype=np.float64), y.shape).astype(np.float64)
+    mu_b = np.broadcast_to(np.asarray(mu, dtype=np.float64), y.shape)
     speakers = sorted(set(int(s) for s in speaker_prior))
     if not speakers:
         raise WorldError("speaker_prior must be nonempty")
@@ -242,11 +247,21 @@ def _mixture(world: World, speaker_prior, emotion, mu, y_t, t: float, schedule,
     means = _component_means(world, speakers, emotions, tokens, y.shape[1])
     v = _marginal_variance(world, t, schedule)
     rho = schedule.rho(t)
-    m_t = mu_b[None] + (means[:, None, :, :] - mu_b[None]) * rho
-    diff = y[None] - m_t
+    m_t = means[:, None, :, :] - mu_b
+    m_t *= rho
+    m_t += mu_b
+    if m_t.size <= _SMALL_BLOCK:
+        diff = y - m_t
+        diff *= diff
+        sq = diff.sum(axis=(2, 3))
+    else:
+        sq, diff = np.empty(m_t.shape[:2]), np.empty(y.shape)
+        for c, m_c in enumerate(m_t):
+            np.subtract(y, m_c, out=diff)
+            diff *= diff
+            sq[c] = diff.sum(axis=(1, 2))
     n_dims = y.shape[1] * y.shape[2]
-    loglik = -0.5 * (diff * diff).sum(axis=(2, 3)) / v \
-        - 0.5 * n_dims * np.log(2.0 * np.pi * v)
+    loglik = -0.5 * sq / v - 0.5 * n_dims * np.log(2.0 * np.pi * v)
     return y, lead, m_t, loglik, v
 
 
@@ -261,7 +276,8 @@ def analytic_score(world: World, speaker_prior, emotion, mu, y_t, t: float,
     y, lead, m_t, loglik, v = _mixture(world, speaker_prior, emotion, mu, y_t, t,
                                        schedule, tokens)
     resp = softmax(loglik, axis=0)  # uniform weights cancel
-    score = np.einsum("cn,cnld->nld", resp, -(y[None] - m_t)) / v
+    m_t -= y  # each component's score times v
+    score = np.einsum("cn,cnld->nld", resp, m_t) / v
     return score.reshape(lead + y.shape[1:])
 
 
@@ -316,15 +332,15 @@ class AnalyticNoisyClassifier:
         y, lead, m_t, loglik, v = _mixture(world, [self.speaker], "all", self.mu, y_t, t,
                                            self.schedule, self.tokens)
         post = softmax(loglik, axis=0)  # (K, n)
-        cond_scores = -(y[None] - m_t) / v  # (K, n, L, D)
+        m_t -= y
+        cond_scores = np.divide(m_t, v, out=m_t)  # (K, n, L, D)
         target_arr = np.broadcast_to(np.asarray(target, dtype=np.int64), (y.shape[0],))
         # every id is in range when both extremes are
         world.check_emotion(int(target_arr.min()))
         world.check_emotion(int(target_arr.max()))
         picked = cond_scores[target_arr, np.arange(y.shape[0])]
-        avg = np.einsum("kn,knld->nld", post, cond_scores)
-        grad = picked - avg
-        return grad.reshape(lead + y.shape[1:]), post.T.reshape(lead + post.shape[:1])
+        picked -= np.einsum("kn,knld->nld", post, cond_scores)
+        return picked.reshape(lead + y.shape[1:]), post.T.reshape(lead + post.shape[:1])
 
 
 # ---------------------------------------------------------------------------

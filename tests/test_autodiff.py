@@ -355,3 +355,72 @@ def test_param_store_roundtrip_and_named_init():
     assert not np.array_equal(s1["w"].data, s3["w"].data)
     limit = np.sqrt(6.0 / (4 + 3))
     assert np.abs(s1["w"].data).max() <= limit
+
+
+# ---------------------------------------------------------------------------
+# the MLP node
+
+
+def _chain(store, prefix, x, n_layers):
+    """The MLP as a chain of affine and tanh nodes: the reference that
+    mlp_apply's single node must match bit for bit."""
+    h = x
+    for i in range(n_layers):
+        h = ad.affine(h, store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
+        if i < n_layers - 1:
+            h = ad.tanh(h)
+    return h
+
+
+def _mlp_store(n_layers, seed=4):
+    store = ParamStore(seed, "p")
+    ad.mlp_init(store, "net", [3] + [5] * (n_layers - 1) + [2])
+    return store
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("input_grad", [False, True])
+def test_mlp_node_gradcheck(n_layers, input_grad):
+    store = _mlp_store(n_layers)
+    rng = np.random.default_rng(n_layers)
+    # a batch of (n, L, D) rows, as the encoder, generator and score net feed it
+    x = store.add("x", (2, 4, 3)) if input_grad else Tensor(rng.standard_normal((2, 4, 3)))
+    coeff = Tensor(rng.standard_normal((2, 4, 2)))
+    errors = gradcheck(lambda: ad.tsum(ad.mul(ad.mlp_apply(store, "net", x, n_layers), coeff)),
+                       store)
+    assert set(errors) == set(store.tensors())
+    assert max(errors.values()) < 1e-6
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_mlp_node_is_bitwise_the_affine_tanh_chain(n_layers):
+    # one store under two nodes in one graph, as dsm and dsm_null share the
+    # score net, and an input that takes a gradient from both
+    rng = np.random.default_rng(10 + n_layers)
+    x0, x1 = rng.standard_normal((6, 3)), rng.standard_normal((16, 8, 3))
+    labels = rng.integers(0, 2, size=6)
+    target = rng.standard_normal((16, 8, 2))
+    results = []
+    for mlp in (_chain, ad.mlp_apply):
+        store = _mlp_store(n_layers, seed=7)
+        x = Tensor(x0, requires_grad=True)
+        first = mlp(store, "net", x, n_layers)
+        second = mlp(store, "net", Tensor(x1), n_layers)
+        ad.add(ad.softmax_cross_entropy(first, labels), ad.mse(second, Tensor(target))).backward()
+        results.append([first.data, second.data, x.grad]
+                       + [t.grad for t in store.tensors().values()])
+    for reference, node in zip(*results):
+        assert reference.tobytes() == node.tobytes()
+
+
+def test_mlp_node_names_the_layer_of_an_infinite_pre_activation():
+    # tanh maps the infinite pre-activation of layer 1 to 1, so the output
+    # stays finite: only the check inside the node sees it
+    store = _mlp_store(3)
+    store["net.w0"].data[:] = 1.0
+    store["net.w1"].data[:] = 1e308
+    x = Tensor(np.ones((2, 3)))
+    with np.errstate(over="ignore"):
+        assert np.isfinite(ad.mlp_eval(store, "net", x.data, 3)).all()
+        with pytest.raises(GraphError, match=r"non-finite values in node 'p\.net layer 1'"):
+            ad.mlp_apply(store, "net", x, 3)

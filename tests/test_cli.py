@@ -505,3 +505,19 @@ def test_train_train_clf_and_cg_sample_bytes_pinned(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in _FLOW_BYTES}
     assert got == _FLOW_BYTES
+
+
+# sha256 of a short `train` with the adversary off (w_dat = 0), whose probe
+# only logs the `dat` column
+_NODAT_BYTES = {
+    "checkpoint.bin": "b519ef10e0a240c72fb234f670470542cac8339663d7607f59e89c721af59549",
+    "losses.jsonl": "ee33ee5dc8a45a089b8a2cdb506fa14103b1bcb594d4a6f1cb11323bf7fda39c",
+}
+
+
+def test_nodat_train_bytes_pinned(tmp_path):
+    assert main(["train", "--outdir", str(tmp_path)] + FAST_TRAIN
+                + ["--set", "train.steps=40", "--set", "train.w_dat=0"]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in _NODAT_BYTES}
+    assert got == _NODAT_BYTES

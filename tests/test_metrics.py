@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 import melworld as mw
+from melworld import autodiff as ad
+from melworld import metrics as mx
+from melworld.autodiff import Tensor
 from melworld.metrics import (
     EvalError,
     EvalSample,
@@ -14,6 +17,7 @@ from melworld.metrics import (
     make_scripts,
     styles_tsv,
 )
+from melworld.training import EmotionProbeHead, sgd_update
 from melworld.world import WorldConfig, sample_utterance_batch, utterance_mean
 
 
@@ -154,6 +158,44 @@ def test_probe_rejects_small_classes():
     labels = np.array([0] * 20 + [1] * 5)
     with pytest.raises(EvalError):
         mw.probe_disentanglement(vectors, labels)
+
+
+def test_probe_is_bitwise_the_graph_loop(monkeypatch):
+    # the probe of C7, trained graph-free, against the loop that built a
+    # graph per minibatch
+    rng = np.random.default_rng(6)
+    labels = rng.integers(0, 4, size=120)
+    vectors = rng.standard_normal((120, 8)) + 0.5 * labels[:, None]
+    made = []
+
+    class Kept(EmotionProbeHead):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(mx, "EmotionProbeHead", Kept)
+    acc = mx.probe_disentanglement(vectors, labels, budget=200, seed=3)
+    order = np.random.default_rng(3).permutation(120)
+    train_idx, test_idx = order[:96], order[96:]
+    reference = EmotionProbeHead(8, 4, seed=3)
+    draws = np.random.default_rng(3)
+    draws.permutation(120)
+    for _ in range(200):
+        pick = train_idx[draws.integers(0, 96, size=32)]
+        loss = ad.softmax_cross_entropy(reference.logits_t(Tensor(vectors[pick])), labels[pick])
+        reference.params.zero_grad()
+        loss.backward()
+        sgd_update([reference.params], 0.05)
+    for name, tensor in reference.params.tensors().items():
+        assert made[0].params[name].data.tobytes() == tensor.data.tobytes(), name
+    pred = reference.posterior(vectors[test_idx]).argmax(axis=-1)
+    assert acc == float(100.0 * (pred == labels[test_idx]).mean())
+
+
+def test_probe_rejects_negative_labels():
+    labels = np.repeat([-1, 0, 1], 10)
+    with pytest.raises(EvalError, match="nonnegative"):
+        mw.probe_disentanglement(np.zeros((30, 4)), labels)
 
 
 def test_probe_deterministic():

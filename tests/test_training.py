@@ -198,9 +198,19 @@ def test_null_rows_leave_encoder_untouched(world, split):
                               init.generator.params["net.w0"].data)
 
 
+def test_probe_only_divergence_reports_its_step(world, split):
+    # the adversary alone diverges, in the probe-only updates after the
+    # finite joint step 0
+    with np.errstate(over="ignore"), pytest.raises(
+            TrainingError, match=r"divergence at step 0: non-finite values in node 'probe\.net"):
+        mw.train_model(world, split, small_config(steps=3, dat_probe_steps=5,
+                                                  dat_probe_lr=1e308))
+
+
 def test_probe_updates_match_reencoding_every_update(world):
-    # the probe-only updates on a style encoded once equal the updates that
-    # re-encode the frames every time, and leave the encoder untouched
+    # the graph-free probe-only updates on a style encoded once equal, bit
+    # for bit, graph updates that re-encode the frames every time (the
+    # reference), and leave the encoder untouched
     encoder = StyleEncoder(world.frame_dim, mw.ModelConfig(seed=1))
     rng = np.random.default_rng(0)
     labels = rng.integers(0, world.n_emotions, size=8)
@@ -221,7 +231,8 @@ def test_probe_updates_match_reencoding_every_update(world):
         encoder.params.zero_grad()
         sgd_update([reencoded.params], 0.05)
     for name, tensor in hoisted.params.tensors().items():
-        assert np.array_equal(tensor.data, reencoded.params[name].data)
+        assert tensor.data.tobytes() == reencoded.params[name].data.tobytes(), name
+        assert tensor.grad is None
     assert not np.array_equal(hoisted.params["net.w0"].data,
                               EmotionProbeHead(16, world.n_emotions, seed=2).params["net.w0"].data)
 

@@ -1,6 +1,7 @@
 """Synthetic world construction, sampling, and the closed-form oracles."""
 
 import hashlib
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -14,7 +15,9 @@ from melworld.world import (
     World,
     WorldConfig,
     WorldError,
+    _SMALL_BLOCK,
     _min_pairwise_distance,
+    _mixture,
     condition_means,
     dump_world,
     load_world,
@@ -410,3 +413,66 @@ def test_load_world_loads_or_raises_world_error(text):
     except WorldError:
         return
     assert dump_world(load_world(dump_world(loaded))) == dump_world(loaded)
+
+
+# sha256 of the exact conditional and exact CG(1) chains below
+_ORACLE_CHAIN_BYTES = {
+    "cond": "2c7bb390ccb61028dad4392dbdfa180e6ae063083317904522370c1330883a19",
+    "cg": "118b22d1515e01895dad624b34586bb70863d0bbe227e2144aab77e3bb865648",
+}
+
+
+def test_exact_oracle_chain_bytes_pinned(world, schedule):
+    # criterion 6's oracle chains at a small size: the exact score of one
+    # emotion, and the exact marginal score guided by the exact classifier
+    tokens = np.array([1, 4])
+    mu = np.broadcast_to(mw.utterance_mean(world, 0, NEUTRAL, tokens), (50, 2, world.frame_dim))
+    clf = AnalyticNoisyClassifier(world, 0, tokens, mu[0], schedule)
+
+    def cond(y, t, mu, s, e):
+        return mw.analytic_score(world, [0], 1, mu, y, t, schedule, tokens=tokens)
+
+    def cg(y, t, mu, s, e):
+        uncond = mw.analytic_score(world, [0], "all", mu, y, t, schedule, tokens=tokens)
+        return mw.guided_score_cg(uncond, clf, y, t, 1, 1.0)
+
+    dummy = np.zeros((50, 1))
+    got = {name: hashlib.sha256(mw.sample_reverse(fn, mu, dummy, dummy, schedule, 20,
+                                                  seed=seed).tobytes()).hexdigest()
+           for name, fn, seed in (("cond", cond, 11), ("cg", cg, 22))}
+    assert got == _ORACLE_CHAIN_BYTES
+
+
+def test_exact_oracles_keep_a_small_working_set(world, schedule):
+    # criterion 6's chains at n = 1000: one analytic_score(..., "all") call
+    # and one exact-classifier gradient each peak at no more than two
+    # (C, n, L, D) blocks of the component means
+    tokens, n = np.array([1, 4]), 1000
+    mu = np.broadcast_to(mw.utterance_mean(world, 0, NEUTRAL, tokens), (n, 2, world.frame_dim))
+    mu = mu.copy()
+    y = mu + np.random.default_rng(0).standard_normal(mu.shape)
+    clf = AnalyticNoisyClassifier(world, 0, tokens, mu[0], schedule)
+    block = world.n_emotions * y.nbytes
+    for call in (lambda: mw.analytic_score(world, [0], "all", mu, y, 0.5, schedule, tokens=tokens),
+                 lambda: clf.grad_log_prob(y, 0.5, 1)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * block
+
+
+def test_large_and_small_oracle_blocks_give_the_same_log_likelihoods(world, schedule):
+    # a batch whose blocks exceed _SMALL_BLOCK runs through the one-buffer
+    # loop, a single row through the vectorised expression: the same bits
+    rng = np.random.default_rng(31)
+    tokens, n = np.array([1, 4, 2]), 800
+    mu, y = rng.standard_normal((2, n, 3, world.frame_dim))
+    _, _, m_t, loglik, _ = _mixture(world, [2, 5], "all", mu, y, 0.3, schedule, tokens)
+    assert m_t.size > _SMALL_BLOCK
+    rows = [_mixture(world, [2, 5], "all", mu[i], y[i], 0.3, schedule, tokens)[3]
+            for i in range(n)]
+    assert loglik.tobytes() == np.hstack(rows).tobytes()
