@@ -346,14 +346,6 @@ def _detach_rows(x: Tensor, mask: np.ndarray) -> Tensor:
     return ad.add(ad.mul(x, keep), Tensor(x.data * (1.0 - keep)))
 
 
-def _probe_updates(probe: EmotionProbeHead, style: np.ndarray, labels,
-                   steps: int, lr: float) -> None:
-    """``steps`` updates of the probe alone on a constant style: the encoder
-    is neither re-run nor reached by a backward pass."""
-    for _ in range(steps):
-        probe.descend(style, labels, lr)
-
-
 def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainConfig(),
                 model_config: ModelConfig = ModelConfig(),
                 trace: list | None = None) -> Checkpoint:
@@ -420,8 +412,9 @@ def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainCo
             total.backward()
             grad_norm = sgd_update(stores, config.lr, config.clip_norm)
             if config.w_dat > 0 and config.dat_probe_steps:
-                _probe_updates(model.probe, model.encoder.encode(frames), emotions,
-                               config.dat_probe_steps, config.dat_probe_lr)
+                style_after = model.encoder.encode(frames)
+                for _ in range(config.dat_probe_steps):
+                    model.probe.descend(style_after, emotions, config.dat_probe_lr)
         except GraphError as exc:
             raise TrainingError(f"divergence at step {i}: {exc}") from exc
         if trace is not None:

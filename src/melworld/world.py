@@ -43,10 +43,6 @@ _SPEAKER_SCALE = 1.0
 _EMOTION_SCALE = 0.5
 _TOKEN_SCALE = 0.5
 _MAX_RESAMPLES = 1000
-# an oracle's (components, n, L, D) block of at most this many values
-# (128 KiB) takes its squared distances in one temporary block; a larger one
-# streams its components through one (n, L, D) buffer instead
-_SMALL_BLOCK = 16384
 
 _FORMAT_HEADER = "melworld world v1"
 
@@ -250,16 +246,12 @@ def _mixture(world: World, speaker_prior, emotion, mu, y_t, t: float, schedule,
     m_t = means[:, None, :, :] - mu_b
     m_t *= rho
     m_t += mu_b
-    if m_t.size <= _SMALL_BLOCK:
-        diff = y - m_t
+    # one component at a time, so the squares take one (n, L, D) buffer, not a second block
+    sq, diff = np.empty(m_t.shape[:2]), np.empty(y.shape)
+    for c, m_c in enumerate(m_t):
+        np.subtract(y, m_c, out=diff)
         diff *= diff
-        sq = diff.sum(axis=(2, 3))
-    else:
-        sq, diff = np.empty(m_t.shape[:2]), np.empty(y.shape)
-        for c, m_c in enumerate(m_t):
-            np.subtract(y, m_c, out=diff)
-            diff *= diff
-            sq[c] = diff.sum(axis=(1, 2))
+        sq[c] = diff.sum(axis=(1, 2))
     n_dims = y.shape[1] * y.shape[2]
     loglik = -0.5 * sq / v - 0.5 * n_dims * np.log(2.0 * np.pi * v)
     return y, lead, m_t, loglik, v

@@ -15,9 +15,7 @@ from melworld.world import (
     World,
     WorldConfig,
     WorldError,
-    _SMALL_BLOCK,
     _min_pairwise_distance,
-    _mixture,
     condition_means,
     dump_world,
     load_world,
@@ -464,15 +462,3 @@ def test_exact_oracles_keep_a_small_working_set(world, schedule):
             tracemalloc.stop()
         assert peak <= 2 * block
 
-
-def test_large_and_small_oracle_blocks_give_the_same_log_likelihoods(world, schedule):
-    # a batch whose blocks exceed _SMALL_BLOCK runs through the one-buffer
-    # loop, a single row through the vectorised expression: the same bits
-    rng = np.random.default_rng(31)
-    tokens, n = np.array([1, 4, 2]), 800
-    mu, y = rng.standard_normal((2, n, 3, world.frame_dim))
-    _, _, m_t, loglik, _ = _mixture(world, [2, 5], "all", mu, y, 0.3, schedule, tokens)
-    assert m_t.size > _SMALL_BLOCK
-    rows = [_mixture(world, [2, 5], "all", mu[i], y[i], 0.3, schedule, tokens)[3]
-            for i in range(n)]
-    assert loglik.tobytes() == np.hstack(rows).tobytes()
