@@ -2,10 +2,11 @@
 
 Supports exactly the operations needed for small MLPs, softmax classifiers,
 and gradient reversal: affine, tanh, relu, softmax (plus a fused
-softmax/cross-entropy), log, elementwise add/sub/mul, concat, broadcast,
-row gather, sum/mean, squared error, and ``grad_reverse``. A whole tanh MLP
-is one node (:func:`mlp_apply`); its backward, :func:`mlp_backward`, is
-also what graph-free callers run.
+softmax/cross-entropy), log, elementwise add/sub/mul, concat, reshape, row
+gather, sum/mean, squared error, and ``grad_reverse``. A whole tanh MLP is
+one node (:func:`mlp_apply`) on a list of row blocks, which it lines up
+itself; its backward, :func:`mlp_backward`, is also what graph-free callers
+run.
 
 Graphs are built define-by-run: every operation appends a node with a
 monotonically increasing id, so construction order is a topological order
@@ -22,33 +23,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-
-__all__ = [
-    "MelworldError",
-    "GraphError",
-    "Tensor",
-    "ParamStore",
-    "gradcheck",
-    "add",
-    "sub",
-    "mul",
-    "affine",
-    "tanh",
-    "relu",
-    "softmax",
-    "log",
-    "concat",
-    "broadcast_to",
-    "reshape",
-    "symmetric_mean",
-    "gather_rows",
-    "tsum",
-    "tmean",
-    "mse",
-    "softmax_cross_entropy",
-    "grad_reverse",
-    "glorot_uniform",
-]
 
 _node_counter = itertools.count()
 
@@ -93,6 +67,10 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -279,33 +257,20 @@ def log(x) -> Tensor:
     return _make("log", out_data, (x,), backward)
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Tensors side by side along the last axis."""
     tensors = tuple(_constant(t) for t in tensors)
     if not tensors:
         raise GraphError("concat requires at least one tensor")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    widths = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + widths)
+    out_data = np.concatenate([t.data for t in tensors], axis=-1)
+    offsets = np.cumsum([0] + [t.data.shape[-1] for t in tensors])
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
-                t._accumulate(g[tuple(index)])
+                t._accumulate(g[..., lo:hi])
 
     return _make("concat", out_data, tensors, backward)
-
-
-def broadcast_to(x, shape) -> Tensor:
-    x = _constant(x)
-    out_data = np.broadcast_to(x.data, shape).copy()
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(_unbroadcast(g, x.data.shape))
-
-    return _make("broadcast", out_data, (x,), backward)
 
 
 def gather_rows(table, indices) -> Tensor:
@@ -370,15 +335,14 @@ def tsum(x) -> Tensor:
     return _make("sum", out_data, (x,), backward)
 
 
-def tmean(x, axis: int | None = None) -> Tensor:
+def tmean(x) -> Tensor:
+    """Mean over all elements; scalar output."""
     x = _constant(x)
-    out_data = x.data.mean(axis=axis)
-    count = x.data.size if axis is None else x.data.shape[axis]
+    out_data = x.data.mean()
 
     def backward(g):
         if x.requires_grad:
-            g = g if axis is None else np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(g / count, x.data.shape).copy())
+            x._accumulate(np.broadcast_to(g / x.data.size, x.data.shape).copy())
 
     return _make("mean", out_data, (x,), backward)
 
@@ -586,31 +550,56 @@ def mlp_init(store: ParamStore, prefix: str, sizes: list[int]) -> None:
         store.add(f"{prefix}.b{i}", (n_out,), init="zeros")
 
 
-def mlp_apply(store: ParamStore, prefix: str, x, n_layers: int) -> Tensor:
+def mlp_apply(store: ParamStore, prefix: str, blocks: list, n_layers: int) -> Tensor:
     """The MLP of :func:`mlp_init` (tanh hidden layers, a linear final layer)
-    as one graph node, bitwise the chain of ``affine`` and ``tanh`` nodes."""
-    x = _constant(x)
+    on row blocks, arrays or Tensors (see :func:`mlp_eval`), as one graph
+    node: bitwise the chain of nodes that would repeat, join and transform
+    the blocks. A Tensor block takes its column slice of the input
+    gradient, summed over L if it is per-utterance."""
     layers: list = []
-    out = mlp_eval(store, prefix, x.data, n_layers, layers, f"{store.name}.{prefix}")
+    arrays = [b.data if isinstance(b, Tensor) else b for b in blocks]
+    out = mlp_eval(store, prefix, arrays, n_layers, layers, f"{store.name}.{prefix}")
+    offsets = np.cumsum([0] + [a.shape[-1] for a in arrays])
+    inputs = [(b, lo, hi) for b, lo, hi in zip(blocks, offsets[:-1], offsets[1:])
+              if isinstance(b, Tensor) and b.requires_grad]
 
     def backward(g):
-        gx, grads = mlp_backward(store, prefix, layers, g, x.requires_grad)
-        if gx is not None:
-            x._accumulate(gx)
+        gx, grads = mlp_backward(store, prefix, layers, g, bool(inputs))
+        for b, lo, hi in inputs:
+            gb = gx[..., lo:hi]
+            b._accumulate(gb if b.data.ndim == gb.ndim else gb.sum(axis=-2))
         for name, grad in grads.items():
             store[name]._accumulate(grad)
 
     params = tuple(store[f"{prefix}.{p}{i}"] for i in range(n_layers) for p in "wb")
-    return _make("mlp", out, (x, *params), backward)
+    return _make("mlp", out, (*(b for b, _, _ in inputs), *params), backward)
 
 
-def mlp_eval(store: ParamStore, prefix: str, x: np.ndarray, n_layers: int,
+def _rows(blocks: list) -> np.ndarray:
+    """The MLP input of :func:`mlp_eval`'s row blocks, the first of which sets
+    the row shape; a lone block as it is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    lead = blocks[0].shape[:-1]
+    out = np.empty(lead + (sum(b.shape[-1] for b in blocks),))
+    lo = 0
+    for b in blocks:
+        if b.shape[:1] != lead[:1]:
+            raise GraphError(f"row blocks of shapes {[b.shape for b in blocks]} differ in rows")
+        out[..., lo:lo + b.shape[-1]] = b if b.ndim == len(lead) + 1 else b[:, None, :]
+        lo += b.shape[-1]
+    return out
+
+
+def mlp_eval(store: ParamStore, prefix: str, blocks: list, n_layers: int,
              layers: list | None = None, check: str | None = None) -> np.ndarray:
-    """The MLP on the parameters' arrays, in place and with no graph.
-    ``layers`` receives each layer's input for :func:`mlp_backward`. With
-    ``check``, a non-finite pre-activation raises ``GraphError`` naming
-    ``check`` and the layer (``tanh`` would hide an infinite one)."""
-    h = x
+    """The MLP on the parameters' arrays, in place and with no graph, on the
+    row blocks side by side: per-frame (n, L, w) as they are, per-utterance
+    (n, w) repeated over L. ``layers`` receives each layer's input for
+    :func:`mlp_backward`. With ``check``, a non-finite pre-activation raises
+    ``GraphError`` naming ``check`` and the layer (``tanh`` would hide it)."""
+    # x is kept to the return: freed early, the heap top is trimmed and re-faulted per call
+    h = x = _rows(blocks)
     for i in range(n_layers):
         if layers is not None:
             layers.append(h)

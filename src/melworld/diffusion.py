@@ -158,11 +158,11 @@ class ScoreNet:
         self.params.add("skip.w1", (_SKIP_HIDDEN, 1), init="zeros")
         self.params.add("skip.b1", (1,), init="zeros")
 
-    def _inputs(self, y_t, t, mu, s, e_shape):
-        """What carries no gradient, after every shape check (e's by its shape
-        alone): the row blocks Y_t, time embedding, mu and s, each (n, L, ·);
-        then the skip term's time embedding, sd(t) and 1 / sd(t), once per
-        distinct t (never per row, so identical rows stay bitwise identical)."""
+    def _inputs(self, y_t, t, mu, s, e):
+        """After every shape check, the MLP's row blocks Y_t, time embedding,
+        mu, s and e (a Tensor on the graph path); then the skip term's time
+        embedding, sd(t) and 1 / sd(t), once per distinct t (never per row,
+        so identical rows stay bitwise identical)."""
         shape = y_t.shape
         if len(shape) != 3:
             raise DiffusionError(f"expected Y_t of shape (n, L, D), got {shape}")
@@ -170,40 +170,34 @@ class ScoreNet:
             raise DiffusionError(f"mu shape {mu.shape} does not match Y_t {shape}")
         if shape[-1] != self.frame_dim:
             raise DiffusionError(f"frame dim {shape[-1]} does not match net {self.frame_dim}")
-        n, length, _ = shape
-        if s.shape != (n, self.style_dim) or e_shape != (n, self.emotion_dim):
+        n = shape[0]
+        if s.shape != (n, self.style_dim) or e.shape != (n, self.emotion_dim):
             raise DiffusionError(f"expected style ({n}, {self.style_dim}) and emotion "
-                                 f"({n}, {self.emotion_dim}), got {s.shape} and {e_shape}")
+                                 f"({n}, {self.emotion_dim}), got {s.shape} and {e.shape}")
         temb = time_embedding(t)
-        rows = [y_t, np.broadcast_to(temb if temb.ndim == 1 else temb[:, None, :],
-                                     (n, length, TIME_EMB_DIM)),
-                mu, np.broadcast_to(s[:, None, :], (n, length, self.style_dim))]
         sd = np.sqrt(self.schedule.var(t)).reshape(-1, 1)
-        return rows, np.atleast_2d(temb), sd, (1.0 / sd).reshape(-1, 1, 1)
+        blocks = [y_t, np.broadcast_to(temb, (n, TIME_EMB_DIM)), mu, s, e]
+        return blocks, np.atleast_2d(temb), sd, (1.0 / sd).reshape(-1, 1, 1)
 
-    def score_t(self, y_t, t, mu, s, e: Tensor) -> Tensor:
+    def score_t(self, y_t, t, mu, s, e) -> Tensor:
         """Graph-path score estimate, the noise prediction / sqrt(var(t)).
 
         y_t and mu (n, L, D) and s (n, style_dim) are constants; a gradient
-        reaches e (n, emotion_dim). t is one time or one per row.
+        reaches e (n, emotion_dim) if it is a Tensor. t is one time or one
+        per row.
         """
-        blocks, temb, sd, inv_sd = self._inputs(y_t, t, mu, s, e.data.shape)
-        n, length, _ = y_t.shape
-        e_rows = ad.broadcast_to(ad.reshape(e, (n, 1, self.emotion_dim)),
-                                 (n, length, self.emotion_dim))
-        rows = ad.concat([Tensor(np.concatenate(blocks, axis=-1)), e_rows], axis=-1)
-        coeff = ad.sub(ad.mlp_apply(self.params, "skip", Tensor(temb), 2), Tensor(sd))
-        skip = ad.mul(Tensor(y_t - mu), ad.reshape(coeff, (-1, 1, 1)))
-        noise = ad.add(skip, ad.mlp_apply(self.params, "net", rows, self.n_layers))
+        blocks, temb, sd, inv_sd = self._inputs(y_t, t, mu, s, e)
+        coeff = ad.sub(ad.mlp_apply(self.params, "skip", [temb], 2), sd)
+        skip = ad.mul(y_t - mu, ad.reshape(coeff, (-1, 1, 1)))
+        noise = ad.add(skip, ad.mlp_apply(self.params, "net", blocks, self.n_layers))
         return ad.mul(noise, inv_sd)
 
     def __call__(self, y_t, t, mu, s, e_emb) -> np.ndarray:
         """:meth:`score_t` on arrays, building no graph; bitwise the same."""
         y_t, mu, s, e = (np.asarray(a, dtype=np.float64) for a in (y_t, mu, s, e_emb))
-        blocks, temb, sd, inv_sd = self._inputs(y_t, t, mu, s, e.shape)
-        blocks.append(np.broadcast_to(e[:, None, :], y_t.shape[:2] + (self.emotion_dim,)))
-        noise = ad.mlp_eval(self.params, "net", np.concatenate(blocks, axis=-1), self.n_layers)
-        noise += (y_t - mu) * (ad.mlp_eval(self.params, "skip", temb, 2) - sd).reshape(-1, 1, 1)
+        blocks, temb, sd, inv_sd = self._inputs(y_t, t, mu, s, e)
+        noise = ad.mlp_eval(self.params, "net", blocks, self.n_layers)
+        noise += (y_t - mu) * (ad.mlp_eval(self.params, "skip", [temb], 2) - sd).reshape(-1, 1, 1)
         noise *= inv_sd
         return noise
 
@@ -231,8 +225,8 @@ def dsm_loss_t(scorenet: ScoreNet, y0: np.ndarray, mu, s, e_emb,
     mu = np.asarray(mu, dtype=np.float64)
     # this grouping, not perturb's, fixes the trained bytes
     y_t = mu * (1.0 - rho) + (y0 * rho + sd * z)
-    e_t = e_emb if isinstance(e_emb, Tensor) else Tensor(e_emb)
-    eps = scorenet.score_t(y_t, t, mu, np.asarray(s, dtype=np.float64), e_t)
+    e = e_emb if isinstance(e_emb, Tensor) else np.asarray(e_emb, dtype=np.float64)
+    eps = scorenet.score_t(y_t, t, mu, np.asarray(s, dtype=np.float64), e)
     resid = ad.sub(eps, Tensor(-z / sd))
     return ad.tmean(ad.mul(ad.mul(resid, resid), Tensor(np.broadcast_to(var, y0.shape).copy())))
 

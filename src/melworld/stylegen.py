@@ -35,9 +35,9 @@ class StyleEncoder:
         sizes = [frame_dim] + [config.hidden] * config.n_hidden + [config.style_dim]
         ad.mlp_init(self.params, "net", sizes)
 
-    def encode_t(self, frames: Tensor) -> Tensor:
+    def encode_t(self, frames) -> Tensor:
         """Graph path; frames (n, L, D) -> (n, style_dim)."""
-        h = ad.mlp_apply(self.params, "net", frames, self.n_layers)
+        h = ad.mlp_apply(self.params, "net", [frames], self.n_layers)
         return ad.symmetric_mean(h, axis=-2)
 
     def encode(self, frames) -> np.ndarray:
@@ -49,7 +49,7 @@ class StyleEncoder:
                              f"got {arr.shape}")
         if arr.shape[-2] == 0:
             raise StyleError("reference frames must be nonempty")
-        h = ad.mlp_eval(self.params, "net", arr, self.n_layers)
+        h = ad.mlp_eval(self.params, "net", [arr], self.n_layers)
         h.sort(axis=-2)
         return h.mean(axis=-2)
 
@@ -96,16 +96,17 @@ class Generator:
 
     def __init__(self, vocab: int, frame_dim: int, config: ModelConfig):
         self.vocab = vocab
-        self.style_dim = config.style_dim
-        self.emotion_dim = config.emotion_dim
         self.n_layers = config.n_hidden + 1
         self.params = ParamStore(config.seed, "generator")
         self.params.add("tok", (vocab, config.token_dim))
-        sizes = ([config.token_dim + self.style_dim + self.emotion_dim]
+        sizes = ([config.token_dim + config.style_dim + config.emotion_dim]
                  + [config.hidden] * config.n_hidden + [frame_dim])
         ad.mlp_init(self.params, "net", sizes)
 
-    def _check_tokens(self, tokens) -> np.ndarray:
+    def _blocks(self, tokens, style, emotion_emb, graph: bool) -> list:
+        """The MLP's row blocks, once the tokens (n, L) are checked: their
+        embeddings (a gather node on the graph path), style (n, style_dim)
+        and emotion (n, emotion_dim)."""
         toks = np.asarray(tokens, dtype=np.int64)
         if toks.ndim != 2:
             raise StyleError(f"expected a batch of tokens (n, L), got shape {toks.shape}")
@@ -113,27 +114,18 @@ class Generator:
             raise StyleError("token sequence must be nonempty")
         if toks.min() < 0 or toks.max() >= self.vocab:
             raise StyleError(f"token id out of range [0, {self.vocab})")
-        return toks
+        table = self.params["tok"]
+        return [ad.gather_rows(table, toks) if graph else table.data[toks], style, emotion_emb]
 
     def generate_t(self, tokens, style: Tensor, emotion_emb: Tensor) -> Tensor:
         """Graph path: tokens (n, L) with style (n, style_dim) and emotion
         (n, emotion_dim) give (n, L, frame_dim). Each row depends only on
         its own token plus its utterance's conditioning."""
-        toks = self._check_tokens(tokens)
-        n, length = toks.shape
-        tok_emb = ad.gather_rows(self.params["tok"], toks)
-        s_rows = ad.broadcast_to(ad.reshape(style, (n, 1, self.style_dim)),
-                                 (n, length, self.style_dim))
-        e_rows = ad.broadcast_to(ad.reshape(emotion_emb, (n, 1, self.emotion_dim)),
-                                 (n, length, self.emotion_dim))
-        rows = ad.concat([tok_emb, s_rows, e_rows], axis=-1)
-        return ad.mlp_apply(self.params, "net", rows, self.n_layers)
+        blocks = self._blocks(tokens, style, emotion_emb, graph=True)
+        return ad.mlp_apply(self.params, "net", blocks, self.n_layers)
 
     def generate(self, tokens, style, emotion_emb) -> np.ndarray:
         """Prior mean mu, one row per token; pure, bitwise the graph path's."""
-        toks = self._check_tokens(tokens)
-        (n, length), widths = toks.shape, (self.style_dim, self.emotion_dim)
-        rows = [self.params["tok"].data[toks]] + [
-            np.broadcast_to(np.reshape(cond, (n, 1, w)), (n, length, w))
-            for cond, w in zip((style, emotion_emb), widths)]
-        return ad.mlp_eval(self.params, "net", np.concatenate(rows, axis=-1), self.n_layers)
+        style, emotion_emb = (np.asarray(a, dtype=np.float64) for a in (style, emotion_emb))
+        blocks = self._blocks(tokens, style, emotion_emb, graph=False)
+        return ad.mlp_eval(self.params, "net", blocks, self.n_layers)

@@ -121,51 +121,77 @@ class TrainConfig:
                                 "must be nonnegative")
 
 
+# hidden width of the DAT probe
+_PROBE_HIDDEN = 32
+
+
 class EmotionProbeHead:
     """Softmax probe over the style vector; the DAT adversary."""
 
-    def __init__(self, style_dim: int, n_emotions: int, hidden: int = 32, seed: int = 0):
+    def __init__(self, style_dim: int, n_emotions: int, seed: int = 0):
         self.n_layers = 2
         self.params = ParamStore(seed, "probe")
-        ad.mlp_init(self.params, "net", [style_dim, hidden, n_emotions])
+        ad.mlp_init(self.params, "net", [style_dim, _PROBE_HIDDEN, n_emotions])
 
     def logits_t(self, style: Tensor) -> Tensor:
-        return ad.mlp_apply(self.params, "net", style, self.n_layers)
+        return ad.mlp_apply(self.params, "net", [style], self.n_layers)
 
     def logits(self, style) -> np.ndarray:
-        return ad.mlp_eval(self.params, "net", np.asarray(style, dtype=np.float64), self.n_layers)
+        return ad.mlp_eval(self.params, "net", [np.asarray(style, dtype=np.float64)],
+                           self.n_layers)
 
     def posterior(self, style) -> np.ndarray:
         return np_softmax(self.logits(style), axis=-1)
 
-    def descend(self, style: np.ndarray, labels, lr: float) -> None:
-        """One SGD step of the probe alone at a constant style, with no graph;
-        bitwise ``softmax_cross_entropy(logits_t(style), labels)``, its
-        backward and ``sgd_update``. ``GraphError`` if a layer goes non-finite."""
-        layers = []
-        logits = ad.mlp_eval(self.params, "net", style, self.n_layers, layers, "probe.net")
-        _, g = _ce_grad(logits, labels)
-        _, grads = ad.mlp_backward(self.params, "net", layers, g, input_grad=False)
-        for name, grad in grads.items():
-            self.params[name].data = self.params[name].data - lr * grad
+    def descend(self, style: np.ndarray, labels, lr: float) -> float:
+        """One SGD step of the probe alone at a constant style (:func:`_descend`)."""
+        return _descend(self.params, self.n_layers, [style], labels, lr, None)
 
 
-def _ce_grad(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-    """softmax(logits) and d(mean cross-entropy at ``labels``)/d(logits), in
-    the operations of ``softmax_cross_entropy`` and its backward."""
-    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    p /= p.sum(axis=-1, keepdims=True)
+def _ce_grad(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, float]:
+    """softmax(logits), d(mean cross-entropy at ``labels``)/d(logits) and that
+    cross-entropy, in the operations of ``softmax_cross_entropy`` and its
+    backward."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    p = np.exp(shifted)
+    total = p.sum(axis=-1, keepdims=True)
+    rows = np.arange(len(p))
+    loss = float((np.log(total[:, 0]) - shifted[rows, labels]).sum() / len(p))
+    p /= total
     posterior = p.copy()
-    p[np.arange(len(p)), labels] -= 1.0
-    return posterior, (1.0 / len(p)) * p
+    p[rows, labels] -= 1.0
+    return posterior, (1.0 / len(p)) * p, loss
+
+
+def _descend(store: ParamStore, n_layers: int, blocks: list, labels, lr: float,
+             clip_norm: float | None) -> float:
+    """One graph-free SGD step of ``store``'s softmax classifier MLP "net" on
+    its mean cross-entropy, which it returns; bitwise the graph's step, with
+    ``sgd_update`` when it clips. ``GraphError`` if a layer or the loss is
+    not finite."""
+    layers = []
+    logits = ad.mlp_eval(store, "net", blocks, n_layers, layers, f"{store.name}.net")
+    _, g, loss = _ce_grad(logits, labels)
+    if not np.isfinite(loss):
+        raise GraphError(f"non-finite values in node '{store.name}.net cross-entropy'")
+    _, grads = ad.mlp_backward(store, "net", layers, g, input_grad=False)
+    if clip_norm is None:
+        for name, grad in grads.items():
+            store[name].data = store[name].data - lr * grad
+    else:
+        store.zero_grad()
+        for name, grad in grads.items():
+            store[name]._accumulate(grad)
+        sgd_update([store], lr, clip_norm)
+    return loss
 
 
 class NoisyClassifier:
     """Emotion classifier on noisy frames: concat(row-pooled mean, time embedding).
 
     Pooling keeps p(e | Y_t) a single distribution per utterance. Training
-    runs on the graph (``logits_t``); guidance, forward and backward, on the
-    parameters' arrays (``posterior``, ``grad_log_prob``).
+    (:func:`train_noisy_classifier`) and guidance, forward and backward, run
+    on the parameters' arrays, with no graph.
     """
 
     def __init__(self, frame_dim: int, n_emotions: int, config: ModelConfig):
@@ -176,22 +202,11 @@ class NoisyClassifier:
         ad.mlp_init(self.params, "net", [frame_dim + TIME_EMB_DIM]
                     + [config.clf_hidden] * config.n_hidden + [n_emotions])
 
-    def _time_rows(self, y_t: np.ndarray, t) -> np.ndarray:
+    def _input(self, y_t: np.ndarray, t) -> list:
+        """The MLP's row blocks: the pooled frames and the time embedding."""
         if y_t.ndim != 3 or y_t.shape[-1] != self.frame_dim:
             raise TrainingError(f"expected frames (n, L, D={self.frame_dim}), got {y_t.shape}")
-        return np.broadcast_to(time_embedding(t), (y_t.shape[0], TIME_EMB_DIM)).copy()
-
-    def _input_t(self, y_t: Tensor, t) -> Tensor:
-        temb = self._time_rows(y_t.data, t)
-        return ad.concat([ad.tmean(y_t, axis=-2), Tensor(temb)], axis=-1)
-
-    def _input(self, y_t: np.ndarray, t) -> np.ndarray:
-        temb = self._time_rows(y_t, t)
-        return np.concatenate([y_t.mean(axis=-2), temb], axis=-1)
-
-    def logits_t(self, y_t: Tensor, t) -> Tensor:
-        """Logits of p(e | Y_t) for a batch (n, L, D) at one t or one t per row."""
-        return ad.mlp_apply(self.params, "net", self._input_t(y_t, t), self.n_layers)
+        return [y_t.mean(axis=-2), np.broadcast_to(time_embedding(t), (len(y_t), TIME_EMB_DIM))]
 
     def posterior(self, y_t, t) -> np.ndarray:
         x = self._input(np.asarray(y_t, dtype=np.float64), t)
@@ -201,7 +216,7 @@ class NoisyClassifier:
         """Gradient of log p(target | Y_t) with respect to Y_t, one target
         per row, and the posterior p(. | Y_t). One forward pass and a
         hand-written backward on the parameters' arrays, with no graph: the
-        operations of ``softmax_cross_entropy(logits_t(Y_t, t), target)`` and
+        operations of ``softmax_cross_entropy`` on the classifier's graph and
         of its backward in the same order, so bitwise equal to them."""
         y_t = np.asarray(y_t, dtype=np.float64)
         x = self._input(y_t, t)
@@ -214,7 +229,7 @@ class NoisyClassifier:
             raise TrainingError(f"target {bad[0]} out of range [0, {self.n_emotions})")
         layers = []
         logits = ad.mlp_eval(self.params, "net", x, self.n_layers, layers)
-        posterior, g = _ce_grad(logits, target)
+        posterior, g, _ = _ce_grad(logits, target)
         g, _ = ad.mlp_backward(self.params, "net", layers, g, param_grads=False)
         return -n * np.broadcast_to(g[:, None, :dim] / length, y_t.shape), posterior
 
@@ -388,12 +403,11 @@ def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainCo
         frames = sample_utterance_batch(world, speakers, emotions, tokens, rng)
         null_mask = rng.random(config.batch_size) < config.p_null
         try:
-            frames_t = Tensor(frames)
-            style = model.encoder.encode_t(frames_t)
+            style = model.encoder.encode_t(frames)
             e_idx = model.table.row_indices(emotions, null_mask)
             e_emb = model.table.embed_t(e_idx)
             mu = model.generator.generate_t(tokens, _detach_rows(style, null_mask), e_emb)
-            loss_recon = ad.mse(mu, frames_t)
+            loss_recon = ad.mse(mu, frames)
             loss_dsm = dsm_loss_t(model.scorenet, frames, mu.data, style.data, e_emb,
                                   model.schedule, rng)
             e_null = model.table.embed_null(config.batch_size)
@@ -443,48 +457,29 @@ def _null_path_batch(world: World, model: Model, speakers, labels, tokens,
 
 
 def train_noisy_classifier(world: World, split: SpeakerSplit, model: Model,
-                           config: TrainConfig, emotions=None,
-                           trace: list | None = None) -> NoisyClassifier:
+                           config: TrainConfig, trace: list | None = None) -> NoisyClassifier:
     """Train p(e | Y_t) on world data perturbed toward the model's null-path
     prior mean, mirroring what classifier-guided sampling sees.
 
-    Trained after and separately from the main model: only the classifier
-    store is updated.
+    Trained after and separately from the main model, with no graph: only
+    the classifier store is updated.
     """
-    emotion_ids = list(range(world.n_emotions)) if emotions is None else sorted(set(emotions))
-    if len(emotion_ids) < 2:
-        raise TrainingError("noisy classifier needs at least two emotion classes")
     clf = model.noisy_clf
     schedule = model.schedule
     rng = np.random.default_rng([config.seed, 0xC1F])
     seen = np.array(split.seen, dtype=np.int64)
-    emotion_arr = np.array(emotion_ids, dtype=np.int64)
     for i in range(config.clf_steps):
         speakers = rng.choice(seen, size=config.clf_batch)
-        labels = rng.choice(emotion_arr, size=config.clf_batch)
+        labels = rng.choice(np.arange(world.n_emotions), size=config.clf_batch)
         tokens = rng.integers(0, world.vocab, size=(config.clf_batch, config.utt_len))
         y0, mu_null = _null_path_batch(world, model, speakers, labels, tokens, rng)
         t = rng.uniform(schedule.t_min, schedule.T, size=config.clf_batch)
         y_t, _ = perturb(y0, mu_null, t, schedule, rng)
-        loss = ad.softmax_cross_entropy(clf.logits_t(Tensor(y_t), t), labels)
-        clf.params.zero_grad()
-        loss.backward()
-        sgd_update([clf.params], config.clf_lr, config.clip_norm)
+        try:
+            loss = _descend(clf.params, clf.n_layers, clf._input(y_t, t), labels,
+                            config.clf_lr, config.clip_norm)
+        except GraphError as exc:
+            raise TrainingError(f"divergence at step {i}: {exc}") from exc
         if trace is not None:
-            trace.append({"step": i, "clf_loss": float(loss.data)})
+            trace.append({"step": i, "clf_loss": loss})
     return clf
-
-
-def noisy_classifier_accuracy(world: World, model: Model, speakers, t: float,
-                              n: int, utt_len: int, seed) -> float:
-    """Accuracy on freshly perturbed held-out utterances at a fixed t."""
-    rng = np.random.default_rng(seed)
-    speakers = np.asarray(speakers, dtype=np.int64)
-    spk = rng.choice(speakers, size=n)
-    labels = rng.integers(0, world.n_emotions, size=n)
-    tokens = rng.integers(0, world.vocab, size=(n, utt_len))
-    y0, mu_null = _null_path_batch(world, model, spk, labels, tokens, rng)
-    t_rows = np.full(n, t)
-    y_t, _ = perturb(y0, mu_null, t_rows, model.schedule, rng)
-    pred = model.noisy_clf.posterior(y_t, t_rows).argmax(axis=-1)
-    return float((pred == labels).mean())

@@ -68,7 +68,7 @@ class _FrozenGraph:
         if self.branch == 1:
             return ad.softmax_cross_entropy(h, self.labels)
         if self.branch == 2:
-            padded = ad.concat([h, ad.log(ad.add(ad.mul(h, h), 1.0))], axis=-1)
+            padded = ad.concat([h, ad.log(ad.add(ad.mul(h, h), 1.0))])
             return ad.tmean(ad.mul(padded, padded))
         return ad.mse(ad.sub(h, ad.symmetric_mean(h, axis=0)),
                       Tensor(np.zeros_like(h.data)))

@@ -52,7 +52,7 @@ def test_two_layer_matches_hand_composition():
     w1, b1 = store["net.w1"].data, store["net.b1"].data
     for _ in range(3):
         x = rng.standard_normal((5, 4))
-        out = ad.mlp_apply(store, "net", Tensor(x), 2)
+        out = ad.mlp_apply(store, "net", [Tensor(x)], 2)
         hand = np.tanh(x @ w0 + b0) @ w1 + b1
         assert np.abs(out.data - hand).max() < 1e-12
 
@@ -73,7 +73,7 @@ def test_forward_does_not_mutate_params():
     store = ParamStore(0, "p")
     ad.mlp_init(store, "net", [3, 4, 1])
     before = store.state_dict()
-    ad.tsum(ad.mlp_apply(store, "net", Tensor(np.ones((2, 3))), 2))
+    ad.tsum(ad.mlp_apply(store, "net", [Tensor(np.ones((2, 3)))], 2))
     after = store.state_dict()
     for k in before:
         assert np.array_equal(before[k], after[k])
@@ -114,8 +114,8 @@ def test_backward_mlp_matches_finite_differences():
     x = Tensor(np.random.default_rng(5).standard_normal((6, 3)))
 
     def loss():
-        return ad.tmean(ad.mul(ad.mlp_apply(store, "net", x, 2),
-                               ad.mlp_apply(store, "net", x, 2)))
+        return ad.tmean(ad.mul(ad.mlp_apply(store, "net", [x], 2),
+                               ad.mlp_apply(store, "net", [x], 2)))
 
     store.zero_grad()
     loss().backward()
@@ -162,7 +162,7 @@ def test_grad_reverse_equals_minus_alpha_times_unreversed(alpha):
 
     def run(with_reversal):
         store.zero_grad()
-        h = ad.mlp_apply(store, "net", Tensor(x), 1)
+        h = ad.mlp_apply(store, "net", [Tensor(x)], 1)
         if with_reversal:
             h = ad.grad_reverse(h, alpha)
         loss = ad.tsum(ad.mul(h, Tensor(coeff)))
@@ -191,7 +191,7 @@ def test_gradcheck_tanh_mlp():
     store = ParamStore(9, "mlp")
     ad.mlp_init(store, "net", [2, 8, 1])
     x = Tensor(np.random.default_rng(4).standard_normal((3, 2)))
-    errors = gradcheck(lambda: ad.tsum(ad.mlp_apply(store, "net", x, 2)), store,
+    errors = gradcheck(lambda: ad.tsum(ad.mlp_apply(store, "net", [x], 2)), store,
                        epsilon=1e-5)
     assert max(errors.values()) < 1e-4
 
@@ -242,7 +242,7 @@ def test_gradcheck_is_pure():
     lambda s, x: ad.tsum(ad.log(ad.add(ad.mul(ad.affine(x, s["net.w0"], s["net.b0"]),
                                               ad.affine(x, s["net.w0"], s["net.b0"])), 1.0))),
     lambda s, x: ad.mse(ad.affine(x, s["net.w0"], s["net.b0"]), ad.mul(x, 0.0)),
-    lambda s, x: ad.tmean(ad.concat([ad.affine(x, s["net.w0"], s["net.b0"]), x], axis=-1)),
+    lambda s, x: ad.tmean(ad.concat([ad.affine(x, s["net.w0"], s["net.b0"]), x])),
     lambda s, x: ad.tsum(ad.symmetric_mean(ad.tanh(ad.affine(x, s["net.w0"], s["net.b0"])), axis=0)),
 ])
 def test_op_gradients_match_finite_differences(build):
@@ -262,7 +262,7 @@ def test_softmax_cross_entropy_gradient():
     x = Tensor(np.random.default_rng(3).standard_normal((5, 3)))
 
     def loss():
-        return ad.softmax_cross_entropy(ad.mlp_apply(store, "net", x, 1), labels)
+        return ad.softmax_cross_entropy(ad.mlp_apply(store, "net", [x], 1), labels)
 
     errors = gradcheck(loss, store, epsilon=1e-5)
     assert max(errors.values()) < 1e-4
@@ -294,7 +294,7 @@ def test_determinism_forward_backward_bitwise():
         store = ParamStore(42, "det")
         ad.mlp_init(store, "net", [4, 8, 2])
         x = np.random.default_rng(0).standard_normal((5, 4))
-        loss = ad.tmean(ad.mul(h := ad.mlp_apply(store, "net", Tensor(x), 2), h))
+        loss = ad.tmean(ad.mul(h := ad.mlp_apply(store, "net", [Tensor(x)], 2), h))
         store.zero_grad()
         loss.backward()
         return float(loss.data), {k: t.grad.copy() for k, t in store.tensors().items()}
@@ -336,7 +336,7 @@ def test_random_graph_gradients_match_finite_differences(seed):
     x = Tensor(rng.standard_normal((4, 3)))
 
     def loss():
-        h = ad.mlp_apply(store, "net", x, 2)
+        h = ad.mlp_apply(store, "net", [x], 2)
         return ad.add(ad.mse(h, Tensor(np.zeros((4, 2)))), ad.tmean(ad.relu(h)))
 
     errors = gradcheck(loss, store, epsilon=1e-5)
@@ -361,10 +361,10 @@ def test_param_store_roundtrip_and_named_init():
 # the MLP node
 
 
-def _chain(store, prefix, x, n_layers):
-    """The MLP as a chain of affine and tanh nodes: the reference that
-    mlp_apply's single node must match bit for bit."""
-    h = x
+def _chain(store, prefix, blocks, n_layers):
+    """The MLP of one input block as a chain of affine and tanh nodes: the
+    reference that mlp_apply's single node must match bit for bit."""
+    (h,) = blocks
     for i in range(n_layers):
         h = ad.affine(h, store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
         if i < n_layers - 1:
@@ -386,7 +386,7 @@ def test_mlp_node_gradcheck(n_layers, input_grad):
     # a batch of (n, L, D) rows, as the encoder, generator and score net feed it
     x = store.add("x", (2, 4, 3)) if input_grad else Tensor(rng.standard_normal((2, 4, 3)))
     coeff = Tensor(rng.standard_normal((2, 4, 2)))
-    errors = gradcheck(lambda: ad.tsum(ad.mul(ad.mlp_apply(store, "net", x, n_layers), coeff)),
+    errors = gradcheck(lambda: ad.tsum(ad.mul(ad.mlp_apply(store, "net", [x], n_layers), coeff)),
                        store)
     assert set(errors) == set(store.tensors())
     assert max(errors.values()) < 1e-6
@@ -404,13 +404,25 @@ def test_mlp_node_is_bitwise_the_affine_tanh_chain(n_layers):
     for mlp in (_chain, ad.mlp_apply):
         store = _mlp_store(n_layers, seed=7)
         x = Tensor(x0, requires_grad=True)
-        first = mlp(store, "net", x, n_layers)
-        second = mlp(store, "net", Tensor(x1), n_layers)
+        first = mlp(store, "net", [x], n_layers)
+        second = mlp(store, "net", [Tensor(x1)], n_layers)
         ad.add(ad.softmax_cross_entropy(first, labels), ad.mse(second, Tensor(target))).backward()
         results.append([first.data, second.data, x.grad]
                        + [t.grad for t in store.tensors().values()])
     for reference, node in zip(*results):
         assert reference.tobytes() == node.tobytes()
+
+
+def test_mlp_repeats_per_utterance_blocks_over_the_frames():
+    # per-frame (n, L, w) blocks and per-utterance (n, w) blocks, side by side
+    store = _mlp_store(2)
+    rng = np.random.default_rng(3)
+    frames, cond = rng.standard_normal((4, 5, 1)), rng.standard_normal((4, 2))
+    joined = np.concatenate([frames, np.broadcast_to(cond[:, None, :], (4, 5, 2))], axis=-1)
+    assert (ad.mlp_eval(store, "net", [frames, cond], 2).tobytes()
+            == ad.mlp_eval(store, "net", [joined], 2).tobytes())
+    with pytest.raises(GraphError, match=r"\(4, 5, 1\), \(1, 2\)\] differ in rows"):
+        ad.mlp_eval(store, "net", [frames, cond[:1]], 2)
 
 
 def test_mlp_node_names_the_layer_of_an_infinite_pre_activation():
@@ -421,6 +433,6 @@ def test_mlp_node_names_the_layer_of_an_infinite_pre_activation():
     store["net.w1"].data[:] = 1e308
     x = Tensor(np.ones((2, 3)))
     with np.errstate(over="ignore"):
-        assert np.isfinite(ad.mlp_eval(store, "net", x.data, 3)).all()
+        assert np.isfinite(ad.mlp_eval(store, "net", [x.data], 3)).all()
         with pytest.raises(GraphError, match=r"non-finite values in node 'p\.net layer 1'"):
-            ad.mlp_apply(store, "net", x, 3)
+            ad.mlp_apply(store, "net", [x], 3)

@@ -487,6 +487,7 @@ def test_train_reproducible_losses(tmp_path):
 _FLOW_BYTES = {
     "train/checkpoint.bin": "4e851a7e2d9b886cd16e752e1dfb660f9796e4cf9999db40dd1a55ba2d27efec",
     "clf/checkpoint.bin": "575426dfaf4108b5c88bbe32573f64786046493d8db161d015601a10a76d6178",
+    "clf/losses.jsonl": "bd3dc484cc503104ac9f2112c22684fd42dcc174b50e092b130f353dca7d2b29",
     "cg/samples.jsonl": "ce5d3e1ae591d8048e436a7cfc584dca9a3e98ca93767d41c463d6db6df1060e",
 }
 
@@ -505,6 +506,24 @@ def test_train_train_clf_and_cg_sample_bytes_pinned(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in _FLOW_BYTES}
     assert got == _FLOW_BYTES
+
+
+# sha256 of a `train-clf` run whose every step clips the classifier's gradient
+_CLIPPED_CLF_BYTES = {
+    "checkpoint.bin": "f2b099525db5a6c64839e3a792666801b97de9183047829cb486e1f9d4656d35",
+    "losses.jsonl": "a65e8a614bc8f34143ca7355dc56908fdaa54cf16a8939c6c8c79668c82a3ed4",
+}
+
+
+def test_clipped_train_clf_bytes_pinned(tmp_path):
+    fast = FAST_TRAIN + ["--set", "train.steps=40", "--set", "train.dat_probe_reinit=15"]
+    assert main(["train", "--outdir", str(tmp_path / "train")] + fast) == 0
+    assert main(["train-clf", "--checkpoint", str(tmp_path / "train" / "checkpoint.bin"),
+                 "--outdir", str(tmp_path / "clf"), "--set", "train.clip_norm=0.05"]
+                + fast) == 0
+    got = {name: hashlib.sha256((tmp_path / "clf" / name).read_bytes()).hexdigest()
+           for name in _CLIPPED_CLF_BYTES}
+    assert got == _CLIPPED_CLF_BYTES
 
 
 # sha256 of a short `train` with the adversary off (w_dat = 0), whose probe

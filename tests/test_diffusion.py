@@ -10,6 +10,7 @@ from melworld import autodiff as ad
 from melworld import metrics
 from melworld.autodiff import Tensor
 from melworld.diffusion import (
+    TIME_EMB_DIM,
     DiffusionError,
     _check_posterior,
     dsm_loss_t,
@@ -536,7 +537,7 @@ def random_model():
 
 @pytest.mark.parametrize("n", [1, 200])
 @pytest.mark.parametrize("per_row_t", [False, True])
-def test_graph_free_entry_points_match_graph_paths(random_model, n, per_row_t):
+def test_graph_free_entry_points_match_graph_paths(random_model, clf_logits_t, n, per_row_t):
     world, model = random_model
     rng = np.random.default_rng([n, per_row_t])
     t = rng.uniform(0.01, 1.0, size=n) if per_row_t else 0.37
@@ -550,17 +551,87 @@ def test_graph_free_entry_points_match_graph_paths(random_model, n, per_row_t):
     assert np.array_equal(model.generator.generate(tokens, s, e),
                           model.generator.generate_t(tokens, Tensor(s), Tensor(e)).data)
     assert np.array_equal(clf.posterior(y, t),
-                          softmax(clf.logits_t(Tensor(y), t).data, axis=-1))
+                          softmax(clf_logits_t(clf, Tensor(y), t).data, axis=-1))
     assert np.array_equal(model.probe.logits(s), model.probe.logits_t(Tensor(s)).data)
     # the classifier gradient: a hand-written backward against the graph's
     targets = rng.integers(0, world.n_emotions, size=n)
     leaf = Tensor(y, requires_grad=True)
-    logits = clf.logits_t(leaf, t)
+    logits = clf_logits_t(clf, leaf, t)
     ad.softmax_cross_entropy(logits, targets).backward()
     clf.params.zero_grad()
     grad, post = clf.grad_log_prob(y, t, targets)
     assert np.array_equal(grad, -n * leaf.grad)
     assert np.array_equal(post, softmax(logits.data, axis=-1))
+
+
+def _repeat_rows(x, length):
+    """x (n, w) repeated over L by a reshape and a broadcast node: how the
+    graph paths fed per-utterance conditioning to an MLP before its node
+    took row blocks, kept here as the reference."""
+    n, width = x.shape
+    shaped = ad.reshape(x, (n, 1, width))
+
+    def backward(g):
+        shaped._accumulate(ad._unbroadcast(g, shaped.shape))
+
+    out = np.broadcast_to(shaped.data, (n, length, width)).copy()
+    return ad._make("broadcast", out, (shaped,), backward)
+
+
+def _generate_chain(gen, tokens, style, e):
+    rows = ad.concat([ad.gather_rows(gen.params["tok"], tokens),
+                      _repeat_rows(style, tokens.shape[1]), _repeat_rows(e, tokens.shape[1])])
+    return ad.mlp_apply(gen.params, "net", [rows], gen.n_layers)
+
+
+def _score_chain(net, y_t, t, mu, s, e):
+    n, length, _ = y_t.shape
+    temb = time_embedding(t)
+    arrays = [y_t, np.broadcast_to(temb if temb.ndim == 1 else temb[:, None, :],
+                                   (n, length, TIME_EMB_DIM)),
+              mu, np.broadcast_to(s[:, None, :], (n, length, s.shape[1]))]
+    rows = ad.concat([Tensor(np.concatenate(arrays, axis=-1)), _repeat_rows(e, length)])
+    sd = np.sqrt(net.schedule.var(t)).reshape(-1, 1)
+    coeff = ad.sub(ad.mlp_apply(net.params, "skip", [Tensor(np.atleast_2d(temb))], 2),
+                   Tensor(sd))
+    skip = ad.mul(Tensor(y_t - mu), ad.reshape(coeff, (-1, 1, 1)))
+    noise = ad.add(skip, ad.mlp_apply(net.params, "net", [rows], net.n_layers))
+    return ad.mul(noise, (1.0 / sd).reshape(-1, 1, 1))
+
+
+@pytest.mark.parametrize("per_row_t", [False, True])
+def test_block_node_is_bitwise_the_reshape_broadcast_concat_chain(random_model, per_row_t):
+    # the generator's and the score net's MLP node on row blocks against the
+    # chain of nodes their graph paths built before: the forwards, the
+    # gradients of the style, the emotion rows (one row feeds two
+    # utterances, through both components) and the token table, and every
+    # parameter's
+    world, model = random_model
+    gen, net = model.generator, model.scorenet
+    rng = np.random.default_rng(20 + per_row_t)
+    n, length = 6, 5
+    tokens = rng.integers(0, world.vocab, size=(n, length))
+    s0 = rng.standard_normal((n, model.config.style_dim))
+    table = rng.standard_normal((4, model.config.emotion_dim))
+    y, mu, target = rng.standard_normal((3, n, length, world.frame_dim))
+    t = rng.uniform(0.01, 1.0, size=n) if per_row_t else 0.37
+    results = []
+    for chained in (True, False):
+        gen.params.zero_grad()
+        net.params.zero_grad()
+        style, emb = Tensor(s0, requires_grad=True), Tensor(table, requires_grad=True)
+        e = ad.gather_rows(emb, [0, 3, 1, 3, 2, 0])
+        if chained:
+            out, eps = _generate_chain(gen, tokens, style, e), _score_chain(net, y, t, mu, s0, e)
+        else:
+            out, eps = gen.generate_t(tokens, style, e), net.score_t(y, t, mu, s0, e)
+        ad.add(ad.mse(out, target), ad.tmean(ad.mul(eps, eps))).backward()
+        results.append([out.data, eps.data, style.grad, emb.grad]
+                       + [p.grad for store in (gen.params, net.params)
+                          for p in store.tensors().values()])
+    assert len(results[1]) == 4 + len(gen.params.tensors()) + len(net.params.tensors())
+    for reference, node in zip(*results):
+        assert reference.tobytes() == node.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 200])

@@ -11,11 +11,12 @@ from melworld.autodiff import Tensor
 from melworld.config import ConfigError
 from melworld.metrics import generate_eval_samples
 from melworld.stylegen import StyleEncoder
+from melworld.diffusion import perturb
 from melworld.training import (
     EmotionProbeHead,
     TrainingError,
+    _null_path_batch,
     dat_loss_t,
-    noisy_classifier_accuracy,
     sgd_update,
 )
 from melworld.world import WorldConfig, sample_utterance_batch
@@ -206,6 +207,41 @@ def test_probe_only_divergence_reports_its_step(world, split):
                                                   dat_probe_lr=1e308))
 
 
+def test_probe_cross_entropy_overflow_reports_its_step(world, split):
+    # every layer of the probe stays finite, but its logits span more than
+    # the float range, so the cross-entropy of the first probe-only update
+    # is infinite: that update names the probe, not a later joint step
+    with np.errstate(over="ignore"), pytest.raises(
+            TrainingError, match=r"divergence at step 0: .*'probe\.net cross-entropy'"):
+        mw.train_model(world, split, small_config(steps=3, dat_probe_steps=5,
+                                                  dat_probe_lr=1e307))
+
+
+def count_tensors(monkeypatch) -> list:
+    """A list that gains one entry per Tensor built from here on."""
+    made, init = [], Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    return made
+
+
+def test_joint_step_tensor_count(world, split, monkeypatch):
+    # one joint step's graph: five Tensors fewer per generator and per score
+    # net call than the reshape/broadcast/concat chains their MLP nodes took
+    # before, and no constant for the null embedding (71 Tensors a step)
+    made = count_tensors(monkeypatch)
+    counts = []
+    for steps in (1, 2):
+        made.clear()
+        mw.train_model(world, split, small_config(steps=steps))
+        counts.append(len(made))
+    assert counts[1] - counts[0] == 55
+
+
 def test_probe_updates_match_reencoding_every_update(world):
     # the graph-free probe-only updates on a style encoded once equal, bit
     # for bit, graph updates that re-encode the frames every time (the
@@ -322,6 +358,20 @@ def clf_setup(world, split):
     return model
 
 
+def noisy_classifier_accuracy(world, model, speakers, t: float, n: int, utt_len: int,
+                              seed) -> float:
+    """Accuracy on freshly perturbed held-out utterances at a fixed t."""
+    rng = np.random.default_rng(seed)
+    spk = rng.choice(np.asarray(speakers, dtype=np.int64), size=n)
+    labels = rng.integers(0, world.n_emotions, size=n)
+    tokens = rng.integers(0, world.vocab, size=(n, utt_len))
+    y0, mu_null = _null_path_batch(world, model, spk, labels, tokens, rng)
+    t_rows = np.full(n, t)
+    y_t, _ = perturb(y0, mu_null, t_rows, model.schedule, rng)
+    pred = model.noisy_clf.posterior(y_t, t_rows).argmax(axis=-1)
+    return float((pred == labels).mean())
+
+
 def test_noisy_classifier_accurate_near_clean_data(world, split, clf_setup):
     acc = noisy_classifier_accuracy(world, clf_setup, split.seen, t=0.05,
                                     n=500, utt_len=8, seed=1)
@@ -340,12 +390,6 @@ def test_noisy_classifier_outputs_distribution(world, clf_setup):
     post = clf_setup.noisy_clf.posterior(y, np.full(50, 0.3))
     assert np.abs(post.sum(axis=1) - 1.0).max() < 1e-12
     assert np.all(post >= 0)
-
-
-def test_noisy_classifier_rejects_single_class(world, split):
-    model = mw.build_model(world, mw.ModelConfig())
-    with pytest.raises(TrainingError):
-        mw.train_noisy_classifier(world, split, model, small_config(), emotions=[1])
 
 
 def test_noisy_classifier_grad_matches_finite_differences(world, clf_setup):
@@ -381,7 +425,8 @@ def test_noisy_classifier_rejects_bad_frames_and_targets(world, clf_setup):
             clf.grad_log_prob(y, 0.4, [0, bad, 1])
 
 
-def test_classifier_guidance_leaves_classifier_parameters_alone(world, split, clf_setup):
+def test_classifier_guidance_leaves_classifier_parameters_alone(world, split, clf_setup,
+                                                               clf_logits_t):
     # the CG step needs the gradient with respect to the frames only; it
     # equals the one taken with the parameters in the graph, bit for bit
     clf = clf_setup.noisy_clf
@@ -392,8 +437,57 @@ def test_classifier_guidance_leaves_classifier_parameters_alone(world, split, cl
     y = np.random.default_rng(6).standard_normal((3, 4, world.frame_dim))
     t = np.full(3, 0.4)
     leaf = Tensor(y, requires_grad=True)
-    ad.softmax_cross_entropy(clf.logits_t(leaf, t), np.array([0, 2, 3])).backward()
+    ad.softmax_cross_entropy(clf_logits_t(clf, leaf, t), np.array([0, 2, 3])).backward()
     clf.params.zero_grad()
     grad, post = clf.grad_log_prob(y, t, [0, 2, 3])
     assert np.array_equal(grad, -3 * leaf.grad)
     assert np.array_equal(post, clf.posterior(y, t))
+
+
+def _graph_classifier_steps(world, split, model, config, clf_logits_t):
+    """train_noisy_classifier as it ran on the graph: the reference."""
+    clf = model.noisy_clf
+    rng = np.random.default_rng([config.seed, 0xC1F])
+    seen = np.array(split.seen, dtype=np.int64)
+    losses = []
+    for _ in range(config.clf_steps):
+        speakers = rng.choice(seen, size=config.clf_batch)
+        labels = rng.choice(np.arange(world.n_emotions), size=config.clf_batch)
+        tokens = rng.integers(0, world.vocab, size=(config.clf_batch, config.utt_len))
+        y0, mu_null = _null_path_batch(world, model, speakers, labels, tokens, rng)
+        t = rng.uniform(model.schedule.t_min, model.schedule.T, size=config.clf_batch)
+        y_t, _ = perturb(y0, mu_null, t, model.schedule, rng)
+        loss = ad.softmax_cross_entropy(clf_logits_t(clf, Tensor(y_t), t), labels)
+        clf.params.zero_grad()
+        loss.backward()
+        sgd_update([clf.params], config.clf_lr, config.clip_norm)
+        losses.append(float(loss.data))
+    return losses
+
+
+@pytest.mark.parametrize("clip_norm", [5.0, 0.05])
+def test_noisy_classifier_training_is_bitwise_the_graph(world, split, clf_logits_t, clip_norm):
+    # at clip_norm 0.05 every step clips
+    config = small_config(clf_steps=60, clf_batch=16, clip_norm=clip_norm)
+    graph, arrays = (mw.build_model(world, mw.ModelConfig()) for _ in range(2))
+    reference = _graph_classifier_steps(world, split, graph, config, clf_logits_t)
+    trace = []
+    mw.train_noisy_classifier(world, split, arrays, config, trace=trace)
+    assert [r["clf_loss"] for r in trace] == reference
+    for name, tensor in graph.noisy_clf.params.tensors().items():
+        assert tensor.data.tobytes() == arrays.noisy_clf.params[name].data.tobytes(), name
+
+
+def test_noisy_classifier_training_builds_no_graph(world, split, monkeypatch):
+    model = mw.build_model(world, mw.ModelConfig())
+    made = count_tensors(monkeypatch)
+    mw.train_noisy_classifier(world, split, model, small_config(clf_steps=5))
+    assert made == []
+
+
+def test_noisy_classifier_divergence_reports_its_step(world, split):
+    model = mw.build_model(world, mw.ModelConfig())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            TrainingError, match=r"divergence at step 2: .*'noisy_clf\.net cross-entropy'"):
+        mw.train_noisy_classifier(world, split, model,
+                                  small_config(clf_steps=5, clf_lr=1e307, clip_norm=1e300))
