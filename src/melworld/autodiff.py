@@ -584,11 +584,16 @@ def _rows(blocks: list) -> np.ndarray:
     out = np.empty(lead + (sum(b.shape[-1] for b in blocks),))
     lo = 0
     for b in blocks:
-        if b.shape[:1] != lead[:1]:
-            raise GraphError(f"row blocks of shapes {[b.shape for b in blocks]} differ in rows")
         out[..., lo:lo + b.shape[-1]] = b if b.ndim == len(lead) + 1 else b[:, None, :]
         lo += b.shape[-1]
     return out
+
+
+# rows per block of the graph-free per-frame forward (see mlp_eval): at 64 hidden units a
+# block's layer outputs are 128 KiB each and its live arrays about 0.35 MB, inside the 2 MiB
+# per-core L2 of the 2-vCPU Xeon that CHANGES.md measures on, and the allocator reuses them;
+# a whole CFG batch (2 x 200 x 8 rows, 4.4 MB) trimmed and re-faulted its heap top per call
+_BLOCK_ROWS = 256
 
 
 def mlp_eval(store: ParamStore, prefix: str, blocks: list, n_layers: int,
@@ -597,9 +602,20 @@ def mlp_eval(store: ParamStore, prefix: str, blocks: list, n_layers: int,
     row blocks side by side: per-frame (n, L, w) as they are, per-utterance
     (n, w) repeated over L. ``layers`` receives each layer's input for
     :func:`mlp_backward`. With ``check``, a non-finite pre-activation raises
-    ``GraphError`` naming ``check`` and the layer (``tanh`` would hide it)."""
-    # x is kept to the return: freed early, the heap top is trimmed and re-faulted per call
-    h = x = _rows(blocks)
+    ``GraphError`` naming ``check`` and the layer (``tanh`` would hide it).
+    Without ``layers``, per-frame rows above :data:`_BLOCK_ROWS` run through
+    every layer in blocks of utterances, bitwise the whole batch: a stacked
+    matmul takes one product per utterance."""
+    x = blocks[0]
+    if any(len(b) != len(x) for b in blocks):
+        raise GraphError(f"row blocks of shapes {[b.shape for b in blocks]} differ in rows")
+    if layers is None and x.ndim == 3 and len(x) > 1 and len(x) * x.shape[1] > _BLOCK_ROWS:
+        per = max(1, _BLOCK_ROWS // x.shape[1])
+        return np.concatenate([mlp_eval(store, prefix, [b[lo:lo + per] for b in blocks],
+                                        n_layers, None, check) for lo in range(0, len(x), per)])
+    h, fan_in = _rows(blocks), store[f"{prefix}.w0"].data.shape[0]
+    if h.shape[-1] != fan_in:
+        raise GraphError(f"'{store.name}.{prefix}' takes rows of width {fan_in}, got {h.shape[-1]}")
     for i in range(n_layers):
         if layers is not None:
             layers.append(h)

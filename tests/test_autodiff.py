@@ -425,6 +425,39 @@ def test_mlp_repeats_per_utterance_blocks_over_the_frames():
         ad.mlp_eval(store, "net", [frames, cond[:1]], 2)
 
 
+@pytest.mark.parametrize("per_row_t", [False, True])
+def test_blocked_inference_is_bitwise_the_whole_batch(per_row_t):
+    # inference runs per-frame rows in blocks of utterances; the layers path
+    # (training's) runs the whole batch. Frames of length 5 leave a remainder
+    # block of every size below, and frames longer than a block run one
+    # utterance at a time; the per-utterance block stands for a time
+    # embedding, one row broadcast (one t) or a row per utterance
+    store = _mlp_store(3)
+    per = ad._BLOCK_ROWS // 5
+    rng = np.random.default_rng([20, per_row_t])
+    for n, length in ((1, 5), (per, 5), (per + 1, 5), (2 * per + 3, 5), (2, ad._BLOCK_ROWS + 1)):
+        frames = rng.standard_normal((n, length, 1))
+        t_rows = rng.standard_normal((n, 2)) if per_row_t else np.broadcast_to(
+            rng.standard_normal(2), (n, 2))
+        for blocks in ([frames, t_rows], [np.concatenate(
+                [frames, np.broadcast_to(t_rows[:, None, :], (n, length, 2))], axis=-1)]):
+            whole = ad.mlp_eval(store, "net", blocks, 3, [])
+            blocked = ad.mlp_eval(store, "net", blocks, 3)
+            assert blocked.shape == (n, length, 2)
+            assert blocked.tobytes() == whole.tobytes(), n
+
+
+def test_mlp_input_width_is_checked_against_the_first_weight():
+    store = _mlp_store(2)
+    per = ad._BLOCK_ROWS // 4
+    for blocks in ([np.zeros((3, 4))], [np.zeros((3, 4, 1)), np.zeros((3, 3))],
+                   [np.zeros((per + 1, 4, 4))]):
+        with pytest.raises(GraphError, match=r"'p\.net' takes rows of width 3, got 4"):
+            ad.mlp_eval(store, "net", blocks, 2)
+        with pytest.raises(GraphError, match=r"'p\.net' takes rows of width 3, got 4"):
+            ad.mlp_apply(store, "net", blocks, 2)
+
+
 def test_mlp_node_names_the_layer_of_an_infinite_pre_activation():
     # tanh maps the infinite pre-activation of layer 1 to 1, so the output
     # stays finite: only the check inside the node sees it

@@ -452,6 +452,31 @@ def test_cg_gamma_zero_reduces_to_unconditional(tiny_model, stochastic):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("stochastic", [True, False])
+def test_guidance_reductions_hold_above_one_block(tiny_model, stochastic):
+    # n utterances of 8 tokens run in blocks of B: CFG's 2n-row score call
+    # and the samplers' n-row calls split at different boundaries
+    world, model = tiny_model
+    n = ad._BLOCK_ROWS // 8 + 3
+    rng = np.random.default_rng(5)
+    tokens = rng.integers(0, world.vocab, size=(n, 8))
+    refs = sample_utterance_batch(world, rng.integers(0, world.n_speakers, size=n),
+                                  np.full(n, NEUTRAL), tokens[:, :3], rng)
+    s = model.encoder.encode(refs)
+    e = model.table.embed(np.full(n, 2))
+    a = mw.sample_cfg(model.scorenet, model.generator, model.table, tokens, s, 2,
+                      model.schedule, 10, 0.0, seed=3, stochastic=stochastic)
+    b = mw.sample_reverse(model.scorenet, model.generator.generate(tokens, s, e), s, e,
+                          model.schedule, 10, seed=3, stochastic=stochastic)
+    assert np.array_equal(a, b)
+    e_null = model.table.embed_null(n)
+    a = mw.sample_cg(model.scorenet, model.noisy_clf, model.generator, model.table, tokens, s,
+                     1, model.schedule, 10, 0.0, seed=4, stochastic=stochastic)
+    b = mw.sample_reverse(model.scorenet, model.generator.generate(tokens, s, e_null), s,
+                          e_null, model.schedule, 10, seed=4, stochastic=stochastic)
+    assert np.array_equal(a, b)
+
+
 def test_sample_cfg_deterministic(tiny_model):
     world, model = tiny_model
     tokens = np.array([[0, 1]])
@@ -535,7 +560,8 @@ def random_model():
     return world, model
 
 
-@pytest.mark.parametrize("n", [1, 200])
+# 33 utterances of 8 frames are one full block and one more; 200 are six and 8 more
+@pytest.mark.parametrize("n", [1, ad._BLOCK_ROWS // 8 + 1, 200])
 @pytest.mark.parametrize("per_row_t", [False, True])
 def test_graph_free_entry_points_match_graph_paths(random_model, clf_logits_t, n, per_row_t):
     world, model = random_model
@@ -562,6 +588,15 @@ def test_graph_free_entry_points_match_graph_paths(random_model, clf_logits_t, n
     grad, post = clf.grad_log_prob(y, t, targets)
     assert np.array_equal(grad, -n * leaf.grad)
     assert np.array_equal(post, softmax(logits.data, axis=-1))
+
+
+def test_mlp_inputs_of_the_wrong_width_name_the_store(random_model):
+    world, model = random_model
+    style = np.zeros((3, model.config.style_dim - 1))
+    with pytest.raises(ad.GraphError, match=r"'generator\.net' takes rows of width 32, got 31"):
+        model.generator.generate(np.zeros((3, 4), dtype=int), style, np.zeros((3, 8)))
+    with pytest.raises(ad.GraphError, match=r"'probe\.net' takes rows of width 16, got 15"):
+        model.probe.logits(style)
 
 
 def _repeat_rows(x, length):
