@@ -609,13 +609,13 @@ def mlp_eval(store: ParamStore, prefix: str, blocks: list, n_layers: int,
     x = blocks[0]
     if any(len(b) != len(x) for b in blocks):
         raise GraphError(f"row blocks of shapes {[b.shape for b in blocks]} differ in rows")
-    if layers is None and x.ndim == 3 and len(x) > 1 and len(x) * x.shape[1] > _BLOCK_ROWS:
-        per = max(1, _BLOCK_ROWS // x.shape[1])
-        return np.concatenate([mlp_eval(store, prefix, [b[lo:lo + per] for b in blocks],
-                                        n_layers, None, check) for lo in range(0, len(x), per)])
     h, fan_in = _rows(blocks), store[f"{prefix}.w0"].data.shape[0]
     if h.shape[-1] != fan_in:
         raise GraphError(f"'{store.name}.{prefix}' takes rows of width {fan_in}, got {h.shape[-1]}")
+    if layers is None and h.ndim == 3 and len(h) > 1 and len(h) * h.shape[1] > _BLOCK_ROWS:
+        per = max(1, _BLOCK_ROWS // h.shape[1])
+        return np.concatenate([mlp_eval(store, prefix, [h[lo:lo + per]], n_layers, None, check)
+                               for lo in range(0, len(h), per)])
     for i in range(n_layers):
         if layers is not None:
             layers.append(h)

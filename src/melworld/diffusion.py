@@ -29,6 +29,7 @@ check once per step that Y stays finite and within a fixed distance of mu.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -85,11 +86,24 @@ TIME_EMB_DIM = 5
 
 
 def time_embedding(t) -> np.ndarray:
-    """(t, sin 2*pi*t, cos 2*pi*t, sin 4*pi*t, cos 4*pi*t); shape (..., TIME_EMB_DIM)."""
+    """(t, sin 2*pi*t, cos 2*pi*t, sin 4*pi*t, cos 4*pi*t); shape (..., TIME_EMB_DIM).
+    A scalar t's row is memoized, read-only and keyed by its hex text, which keeps
+    -0.0 apart from 0.0: every run of a sampler takes the same values of t."""
     t = np.asarray(t, dtype=np.float64)
+    return _time_row(float(t).hex()) if t.ndim == 0 else _embed(t)
+
+
+def _embed(t: np.ndarray) -> np.ndarray:
     two_pi = 2.0 * np.pi * t
     return np.stack([t, np.sin(two_pi), np.cos(two_pi),
                      np.sin(2.0 * two_pi), np.cos(2.0 * two_pi)], axis=-1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _time_row(key: str) -> np.ndarray:
+    row = _embed(np.asarray(float.fromhex(key)))
+    row.setflags(write=False)
+    return row
 
 
 def _rng(seed):
@@ -158,26 +172,21 @@ class ScoreNet:
         self.params.add("skip.w1", (_SKIP_HIDDEN, 1), init="zeros")
         self.params.add("skip.b1", (1,), init="zeros")
 
-    def _inputs(self, y_t, t, mu, s, e):
-        """After every shape check, the MLP's row blocks Y_t, time embedding,
-        mu, s and e (a Tensor on the graph path); then the skip term's time
-        embedding, sd(t) and 1 / sd(t), once per distinct t (never per row,
-        so identical rows stay bitwise identical)."""
-        shape = y_t.shape
-        if len(shape) != 3:
-            raise DiffusionError(f"expected Y_t of shape (n, L, D), got {shape}")
-        if mu.shape != shape:
-            raise DiffusionError(f"mu shape {mu.shape} does not match Y_t {shape}")
-        if shape[-1] != self.frame_dim:
-            raise DiffusionError(f"frame dim {shape[-1]} does not match net {self.frame_dim}")
-        n = shape[0]
+    def _check(self, mu, s, e) -> None:
+        if mu.ndim != 3 or mu.shape[-1] != self.frame_dim:
+            raise DiffusionError(f"expected mu of shape (n, L, D={self.frame_dim}), got {mu.shape}")
+        n = len(mu)
         if s.shape != (n, self.style_dim) or e.shape != (n, self.emotion_dim):
             raise DiffusionError(f"expected style ({n}, {self.style_dim}) and emotion "
                                  f"({n}, {self.emotion_dim}), got {s.shape} and {e.shape}")
-        temb = time_embedding(t)
+
+    def _time(self, y_t, mu, t):
+        """After Y_t's shape check, the time embedding, sd(t) and 1 / sd(t), once per
+        distinct t (never per row, so identical rows stay bitwise identical)."""
+        if y_t.shape != mu.shape:
+            raise DiffusionError(f"Y_t shape {y_t.shape} does not match mu {mu.shape}")
         sd = np.sqrt(self.schedule.var(t)).reshape(-1, 1)
-        blocks = [y_t, np.broadcast_to(temb, (n, TIME_EMB_DIM)), mu, s, e]
-        return blocks, np.atleast_2d(temb), sd, (1.0 / sd).reshape(-1, 1, 1)
+        return np.atleast_2d(time_embedding(t)), sd, (1.0 / sd).reshape(-1, 1, 1)
 
     def score_t(self, y_t, t, mu, s, e) -> Tensor:
         """Graph-path score estimate, the noise prediction / sqrt(var(t)).
@@ -186,20 +195,40 @@ class ScoreNet:
         reaches e (n, emotion_dim) if it is a Tensor. t is one time or one
         per row.
         """
-        blocks, temb, sd, inv_sd = self._inputs(y_t, t, mu, s, e)
+        self._check(mu, s, e)
+        temb, sd, inv_sd = self._time(y_t, mu, t)
+        blocks = [y_t, np.broadcast_to(temb, (len(y_t), TIME_EMB_DIM)), mu, s, e]
         coeff = ad.sub(ad.mlp_apply(self.params, "skip", [temb], 2), sd)
         skip = ad.mul(y_t - mu, ad.reshape(coeff, (-1, 1, 1)))
         noise = ad.add(skip, ad.mlp_apply(self.params, "net", blocks, self.n_layers))
         return ad.mul(noise, inv_sd)
 
+    def bind(self, mu, s, e_emb):
+        """``score(y_t, t)``, this net at the constants mu, s and e_emb, which are checked
+        and written into the MLP input once: each call, on a float64 array Y_t, writes
+        only the Y_t and time columns. Bitwise :meth:`score_t`."""
+        mu, s, e = (np.asarray(a, dtype=np.float64) for a in (mu, s, e_emb))
+        self._check(mu, s, e)
+        d, lo = self.frame_dim, 2 * self.frame_dim + TIME_EMB_DIM
+        rows = np.empty(mu.shape[:2] + (lo + self.style_dim + self.emotion_dim,))
+        rows[..., d + TIME_EMB_DIM:lo] = mu
+        rows[..., lo:lo + self.style_dim] = s[:, None, :]
+        rows[..., lo + self.style_dim:] = e[:, None, :]
+
+        def score(y_t: np.ndarray, t) -> np.ndarray:
+            temb, sd, inv_sd = self._time(y_t, mu, t)
+            rows[..., :d] = y_t
+            rows[..., d:d + TIME_EMB_DIM] = temb[:, None, :]
+            noise = ad.mlp_eval(self.params, "net", [rows], self.n_layers)
+            noise += (y_t - mu) * (ad.mlp_eval(self.params, "skip", [temb], 2) - sd)[..., None]
+            noise *= inv_sd
+            return noise
+
+        return score
+
     def __call__(self, y_t, t, mu, s, e_emb) -> np.ndarray:
         """:meth:`score_t` on arrays, building no graph; bitwise the same."""
-        y_t, mu, s, e = (np.asarray(a, dtype=np.float64) for a in (y_t, mu, s, e_emb))
-        blocks, temb, sd, inv_sd = self._inputs(y_t, t, mu, s, e)
-        noise = ad.mlp_eval(self.params, "net", blocks, self.n_layers)
-        noise += (y_t - mu) * (ad.mlp_eval(self.params, "skip", [temb], 2) - sd).reshape(-1, 1, 1)
-        noise *= inv_sd
-        return noise
+        return self.bind(mu, s, e_emb)(np.asarray(y_t, dtype=np.float64), t)
 
 
 def dsm_loss_t(scorenet: ScoreNet, y0: np.ndarray, mu, s, e_emb,
@@ -251,7 +280,7 @@ def _check_posterior(probs: np.ndarray) -> None:
     probs = np.asarray(probs)
     sums = probs.sum(axis=-1)
     # every comparison with NaN is False, so a NaN fails this test
-    if not (np.all(probs >= -1e-12) and np.all(np.abs(sums - 1.0) <= 1e-8)):
+    if not ((probs >= -1e-12).all() and (np.abs(sums - 1.0) <= 1e-8).all()):
         raise DiffusionError("classifier output is not a valid distribution")
 
 
@@ -326,16 +355,24 @@ def sample_reverse(scorenet, mu, s, e_emb, schedule: NoiseSchedule, steps: int,
     is how the analytic-score oracle is plugged in.
     """
     mu = np.asarray(mu, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    e = np.asarray(e_emb, dtype=np.float64)
-    return _integrate(lambda y, t: scorenet(y, t, mu, s, e), mu, schedule,
-                      steps, _rng(seed), stochastic, trajectory)
+    return _integrate(_bound(scorenet, mu, s, e_emb), mu, schedule, steps, _rng(seed),
+                      stochastic, trajectory)
 
 
-def _guided_inputs(generator, table, tokens, s, emotion_label):
-    """What both guided samplers build first: the token and style batches,
-    one range-checked target per row, the null embedding and the null-path
-    prior mean."""
+def _bound(scorenet, mu, s, e):
+    """``score(y, t)`` at one run's constants: :meth:`ScoreNet.bind`, or any other
+    callable (y_t, t, mu, s, e_emb) -> score given them on every call."""
+    if isinstance(scorenet, ScoreNet):
+        return scorenet.bind(mu, s, e)
+    return lambda y, t: scorenet(y, t, mu, s, e)
+
+
+def _guided_inputs(generator, table, tokens, s, emotion_label, gamma: float):
+    """What both guided samplers build first, after checking the guidance
+    scale: the token and style batches, one range-checked target per row,
+    the null embedding and the null-path prior mean."""
+    if not 0.0 <= gamma < np.inf:
+        raise DiffusionError(f"guidance scale gamma must be finite and >= 0, got {gamma}")
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
         raise DiffusionError(f"expected a batch of tokens (n, L), got shape {tokens.shape}")
@@ -358,13 +395,15 @@ def sample_cfg(scorenet, generator, table, tokens, s, emotion_label,
     use the conditional mu.
     """
     tokens, s, targets, e_null, mu_null = _guided_inputs(
-        generator, table, tokens, s, emotion_label)
+        generator, table, tokens, s, emotion_label, gamma)
     e_cond = table.embed(targets)
     mu_cond = generator.generate(tokens, s, e_cond)
     both = [np.concatenate(pair) for pair in ((mu_cond, mu_null), (s, s), (e_cond, e_null))]
+    score, pair, n = _bound(scorenet, *both), np.empty(both[0].shape), len(mu_cond)
 
     def score_fn(y, t):
-        return combine_cfg(*np.split(scorenet(np.concatenate([y, y]), t, *both), 2), gamma)
+        pair[:n] = pair[n:] = y
+        return combine_cfg(*np.split(score(pair, t), 2), gamma)
 
     return _integrate(score_fn, mu_cond, schedule, steps, _rng(seed), stochastic, trajectory)
 
@@ -379,10 +418,11 @@ def sample_cg(scorenet, noisy_clf, generator, table, tokens, s, emotion_label,
     through the classifier), and the unconditional score is the score net's
     null path.
     """
-    _, s, targets, e_null, mu_null = _guided_inputs(generator, table, tokens, s, emotion_label)
+    _, s, targets, e_null, mu_null = _guided_inputs(generator, table, tokens, s, emotion_label,
+                                                    gamma)
+    score = _bound(scorenet, mu_null, s, e_null)
 
     def score_fn(y, t):
-        eps_u = scorenet(y, t, mu_null, s, e_null)
-        return guided_score_cg(eps_u, noisy_clf, y, t, targets, gamma)
+        return guided_score_cg(score(y, t), noisy_clf, y, t, targets, gamma)
 
     return _integrate(score_fn, mu_null, schedule, steps, _rng(seed), stochastic, trajectory)

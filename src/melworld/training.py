@@ -110,10 +110,11 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_null < 1.0:
             raise TrainingError(f"p_null must be in [0, 1), got {self.p_null}")
-        if self.alpha <= 0:
-            raise TrainingError(f"alpha must be positive, got {self.alpha}")
-        if min(self.w_recon, self.w_dsm, self.w_dat) < 0:
-            raise TrainingError("loss weights must be nonnegative")
+        for name in ("alpha", "lr", "clf_lr", "dat_probe_lr", "clip_norm"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise TrainingError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not all(0.0 <= w < np.inf for w in (self.w_recon, self.w_dsm, self.w_dat)):
+            raise TrainingError("loss weights must be finite and nonnegative")
         if min(self.batch_size, self.clf_batch, self.utt_len) < 1:
             raise TrainingError("batch_size, clf_batch and utt_len must be >= 1")
         if min(self.steps, self.clf_steps, self.dat_probe_steps, self.dat_probe_reinit) < 0:
@@ -203,10 +204,13 @@ class NoisyClassifier:
                     + [config.clf_hidden] * config.n_hidden + [n_emotions])
 
     def _input(self, y_t: np.ndarray, t) -> list:
-        """The MLP's row blocks: the pooled frames and the time embedding."""
+        """The MLP's input, one block: the pooled frames, then the time embedding."""
         if y_t.ndim != 3 or y_t.shape[-1] != self.frame_dim:
             raise TrainingError(f"expected frames (n, L, D={self.frame_dim}), got {y_t.shape}")
-        return [y_t.mean(axis=-2), np.broadcast_to(time_embedding(t), (len(y_t), TIME_EMB_DIM))]
+        x = np.empty((len(y_t), self.frame_dim + TIME_EMB_DIM))
+        np.mean(y_t, axis=-2, out=x[:, :self.frame_dim])
+        x[:, self.frame_dim:] = time_embedding(t)
+        return [x]
 
     def posterior(self, y_t, t) -> np.ndarray:
         x = self._input(np.asarray(y_t, dtype=np.float64), t)

@@ -269,6 +269,17 @@ def test_sample_and_trajectory(trained_run, tmp_path, mode):
     assert len(trajectory) == 5
 
 
+@pytest.mark.parametrize("mode", ["cfg", "cg"])
+@pytest.mark.parametrize("gamma", ["-1", "nan", "inf"])
+def test_a_bad_guidance_scale_is_named(trained_run, tmp_path, capsys, mode, gamma):
+    assert main(["sample", "--checkpoint", str(trained_run / "checkpoint.bin"),
+                 "--outdir", str(tmp_path / "out"), "--set", f"sample.mode={mode}",
+                 "--set", f"sample.gamma={gamma}", "--set", "sample.steps=5"]) == 2
+    assert capsys.readouterr().err == (f"error: guidance scale gamma must be finite and >= 0, "
+                                       f"got {float(gamma)}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _edit_meta(pattern: bytes, repl: bytes):
     """A damage that makes one regex substitution in the checkpoint's
     metadata JSON, which starts at byte 16 after its u64 length, and writes
@@ -347,6 +358,14 @@ _CORRUPT = {
     ("gen-data", "run.seed=0", "world-tau-zero"),
     ("gen-data", "run.seed=0", "world-max-len"),
     ("train", "eval.per_emotion=-1", None),
+    ("sample", "sample.mode=cfg sample.gamma=-1", None),
+    ("sample", "sample.mode=cg sample.gamma=nan", None),
+    ("train", "train.steps=40 train.clip_norm=-1", None),
+    ("train", "train.steps=40 train.clip_norm=nan", None),
+    ("train", "train.steps=40 train.lr=-0.01", None),
+    ("train", "train.steps=40 train.dat_probe_lr=-0.05", None),
+    ("train", "train.steps=40 train.alpha=nan", None),
+    ("train", "train.steps=40 train.w_dsm=nan", None),
 ], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint",
         "sample-tokens", "sample-n", "sample-mode-comment", "train-batch-size",
         "sample-speaker", "truncated-world", "world-header-value", "world-matrix-entry",
@@ -357,7 +376,9 @@ _CORRUPT = {
         "sample-drawn-script-too-long", "eval-script-too-long", "config-dir",
         "config-not-utf8", "world-dir", "world-not-utf8", "checkpoint-dir", "outdir-file",
         "world-vocab-set", "world-vocab-file", "world-tau-negative", "world-tau-zero",
-        "world-max-len", "eval-per-emotion"])
+        "world-max-len", "eval-per-emotion", "cfg-gamma", "gamma-nan", "train-clip-norm",
+        "train-clip-norm-nan", "train-lr", "train-dat-probe-lr", "train-alpha-nan",
+        "train-w-dsm-nan"])
 def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, setting,
                                              corrupt):
     # ``setting`` holds one or more space-separated overrides; ``corrupt``

@@ -13,6 +13,7 @@ from melworld.diffusion import (
     TIME_EMB_DIM,
     DiffusionError,
     _check_posterior,
+    combine_cfg,
     dsm_loss_t,
     time_embedding,
 )
@@ -40,6 +41,20 @@ def test_time_embedding_shape():
     emb = time_embedding(0.25)
     assert emb[0] == 0.25
     assert emb[1] == pytest.approx(np.sin(np.pi / 2))
+
+
+def test_scalar_time_embedding_is_a_read_only_memo_of_the_stack():
+    row = time_embedding(0.3)
+    assert not row.flags.writeable
+    assert time_embedding(np.float64(0.3)) is row
+    t = np.asarray(0.3)
+    two_pi = 2.0 * np.pi * t
+    stack = np.stack([t, np.sin(two_pi), np.cos(two_pi), np.sin(2.0 * two_pi),
+                      np.cos(2.0 * two_pi)], axis=-1)
+    assert row.tobytes() == stack.tobytes()
+    # -0.0 == 0.0, but its row keeps the sign
+    assert np.signbit(time_embedding(-0.0)[:2]).all()
+    assert not np.signbit(time_embedding(0.0)[:2]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +492,15 @@ def test_guidance_reductions_hold_above_one_block(tiny_model, stochastic):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("mode", ["cfg", "cg"])
+@pytest.mark.parametrize("gamma", [-1.0, np.nan, np.inf])
+def test_guided_samplers_reject_a_bad_gamma(tiny_model, mode, gamma):
+    _, model = tiny_model
+    with pytest.raises(DiffusionError, match="gamma must be finite and >= 0"):
+        metrics.sample_frames(model, mode, np.array([[1, 5, 2]]), np.zeros((1, 16)),
+                              np.array([1]), gamma, 2, 0, True)
+
+
 def test_sample_cfg_deterministic(tiny_model):
     world, model = tiny_model
     tokens = np.array([[0, 1]])
@@ -667,6 +691,51 @@ def test_block_node_is_bitwise_the_reshape_broadcast_concat_chain(random_model, 
     assert len(results[1]) == 4 + len(gen.params.tensors()) + len(net.params.tensors())
     for reference, node in zip(*results):
         assert reference.tobytes() == node.tobytes()
+
+
+_B = ad._BLOCK_ROWS // 8  # utterances of 8 frames per block
+
+
+@pytest.mark.parametrize("n", [1, _B, _B + 1, 2 * _B + 3])
+@pytest.mark.parametrize("per_row_t", [False, True])
+def test_bound_score_is_the_graph_path_and_keeps_no_stale_column(random_model, n, per_row_t):
+    # one bound score on Y_a, Y_b, then Y_a again, each at its own t
+    world, model = random_model
+    rng = np.random.default_rng([n, per_row_t, 3])
+    y_a, y_b, mu = rng.standard_normal((3, n, 8, world.frame_dim))
+    s = rng.standard_normal((n, model.config.style_dim))
+    e = rng.standard_normal((n, model.config.emotion_dim))
+    t_a, t_b = rng.uniform(0.01, 1.0, size=(2, n)) if per_row_t else (0.37, 0.81)
+    net = model.scorenet
+    score = net.bind(mu, s, e)
+    first = score(y_a, t_a)
+    assert np.array_equal(first, net.score_t(y_a, t_a, mu, s, Tensor(e)).data)
+    assert np.array_equal(score(y_b, t_b), net.score_t(y_b, t_b, mu, s, Tensor(e)).data)
+    assert np.array_equal(score(y_a, t_a), first)
+
+
+def test_cfg_pair_buffer_is_bitwise_a_fresh_pair(random_model):
+    # sample_cfg writes Y_t into both halves of one 2n-row buffer; the
+    # reference scores a freshly stacked [y; y] through __call__ every step
+    world, model = random_model
+    n, gen, net, gamma = 2 * _B + 3, model.generator, model.scorenet, 1.5
+    rng = np.random.default_rng(6)
+    tokens = rng.integers(0, world.vocab, size=(n, 8))
+    s = rng.standard_normal((n, model.config.style_dim))
+    targets = rng.integers(0, world.n_emotions, size=n)
+    e_c, e_u = model.table.embed(targets), model.table.embed_null(n)
+    mu_c = gen.generate(tokens, s, e_c)
+    both = [np.concatenate(p) for p in ((mu_c, gen.generate(tokens, s, e_u)), (s, s),
+                                        (e_c, e_u))]
+
+    def reference(y, t, *_):
+        eps = net(np.concatenate([y, y]), t, *both)
+        return combine_cfg(eps[:n], eps[n:], gamma)
+
+    a = mw.sample_cfg(net, gen, model.table, tokens, s, targets, model.schedule, 5, gamma,
+                      seed=2)
+    assert np.array_equal(a, mw.sample_reverse(reference, mu_c, s, e_c, model.schedule, 5,
+                                               seed=2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 200])

@@ -327,6 +327,14 @@ def test_config_validation():
         mw.TrainConfig(alpha=0.0)
     with pytest.raises(TrainingError):
         mw.TrainConfig(w_dat=-0.1)
+    for field in ("alpha", "lr", "clf_lr", "dat_probe_lr", "clip_norm"):
+        for bad in (0.0, -0.01, np.nan, np.inf):
+            with pytest.raises(TrainingError, match=f"^{field} must be finite and > 0"):
+                mw.TrainConfig(**{field: bad})
+    for field in ("w_recon", "w_dsm", "w_dat"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(TrainingError, match="loss weights"):
+                mw.TrainConfig(**{field: bad})
     for field in ("batch_size", "clf_batch", "utt_len"):
         with pytest.raises(TrainingError, match=field):
             mw.TrainConfig(**{field: 0})
