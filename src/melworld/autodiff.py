@@ -2,11 +2,10 @@
 
 Supports exactly the operations needed for small MLPs, softmax classifiers,
 and gradient reversal: affine, tanh, relu, softmax (plus a fused
-softmax/cross-entropy), log, elementwise add/sub/mul, concat, reshape, row
-gather, sum/mean, squared error, and ``grad_reverse``. A whole tanh MLP is
-one node (:func:`mlp_apply`) on a list of row blocks, which it lines up
-itself; its backward, :func:`mlp_backward`, is also what graph-free callers
-run.
+softmax/cross-entropy), log, elementwise add/sub/mul, concat, row gather,
+sum/mean, squared error, and ``grad_reverse``. A whole tanh MLP is one node
+(:func:`mlp_apply`) on a list of row blocks, which it lines up itself; its
+backward, :func:`mlp_backward`, is also what graph-free callers run.
 
 Graphs are built define-by-run: every operation appends a node with a
 monotonically increasing id, so construction order is a topological order
@@ -294,18 +293,6 @@ def gather_rows(table, indices) -> Tensor:
             table._accumulate(acc)
 
     return _make("gather", out_data, (table,), backward)
-
-
-def reshape(x, shape) -> Tensor:
-    x = _constant(x)
-    old_shape = x.data.shape
-    out_data = x.data.reshape(shape)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(old_shape))
-
-    return _make("reshape", out_data, (x,), backward)
 
 
 def symmetric_mean(x, axis: int) -> Tensor:

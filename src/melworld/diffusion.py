@@ -56,10 +56,10 @@ class NoiseSchedule:
     t_min: float = 1e-3
 
     def __post_init__(self):
-        if not 0 < self.beta0 < self.beta1:
-            raise DiffusionError(f"need 0 < beta0 < beta1, got {self.beta0}, {self.beta1}")
-        if not 0 < self.t_min < self.T:
-            raise DiffusionError(f"need 0 < t_min < T, got t_min={self.t_min}, T={self.T}")
+        if not 0 < self.beta0 < self.beta1 < np.inf:
+            raise DiffusionError(f"need 0 < beta0 < beta1 < inf, got {self.beta0}, {self.beta1}")
+        if not 0 < self.t_min < self.T < np.inf:
+            raise DiffusionError(f"need 0 < t_min < T < inf, got t_min={self.t_min}, T={self.T}")
 
     def beta(self, t):
         return self.beta0 + (self.beta1 - self.beta0) * np.asarray(t, dtype=np.float64)
@@ -172,59 +172,72 @@ class ScoreNet:
         self.params.add("skip.w1", (_SKIP_HIDDEN, 1), init="zeros")
         self.params.add("skip.b1", (1,), init="zeros")
 
-    def _check(self, mu, s, e) -> None:
+    def _inputs(self, mu, s, e) -> np.ndarray:
+        """After their check, the MLP input with the constant columns mu, s and e
+        written; :meth:`_forward` writes the Y_t and time columns."""
         if mu.ndim != 3 or mu.shape[-1] != self.frame_dim:
             raise DiffusionError(f"expected mu of shape (n, L, D={self.frame_dim}), got {mu.shape}")
         n = len(mu)
         if s.shape != (n, self.style_dim) or e.shape != (n, self.emotion_dim):
             raise DiffusionError(f"expected style ({n}, {self.style_dim}) and emotion "
                                  f"({n}, {self.emotion_dim}), got {s.shape} and {e.shape}")
-
-    def _time(self, y_t, mu, t):
-        """After Y_t's shape check, the time embedding, sd(t) and 1 / sd(t), once per
-        distinct t (never per row, so identical rows stay bitwise identical)."""
-        if y_t.shape != mu.shape:
-            raise DiffusionError(f"Y_t shape {y_t.shape} does not match mu {mu.shape}")
-        sd = np.sqrt(self.schedule.var(t)).reshape(-1, 1)
-        return np.atleast_2d(time_embedding(t)), sd, (1.0 / sd).reshape(-1, 1, 1)
-
-    def score_t(self, y_t, t, mu, s, e) -> Tensor:
-        """Graph-path score estimate, the noise prediction / sqrt(var(t)).
-
-        y_t and mu (n, L, D) and s (n, style_dim) are constants; a gradient
-        reaches e (n, emotion_dim) if it is a Tensor. t is one time or one
-        per row.
-        """
-        self._check(mu, s, e)
-        temb, sd, inv_sd = self._time(y_t, mu, t)
-        blocks = [y_t, np.broadcast_to(temb, (len(y_t), TIME_EMB_DIM)), mu, s, e]
-        coeff = ad.sub(ad.mlp_apply(self.params, "skip", [temb], 2), sd)
-        skip = ad.mul(y_t - mu, ad.reshape(coeff, (-1, 1, 1)))
-        noise = ad.add(skip, ad.mlp_apply(self.params, "net", blocks, self.n_layers))
-        return ad.mul(noise, inv_sd)
-
-    def bind(self, mu, s, e_emb):
-        """``score(y_t, t)``, this net at the constants mu, s and e_emb, which are checked
-        and written into the MLP input once: each call, on a float64 array Y_t, writes
-        only the Y_t and time columns. Bitwise :meth:`score_t`."""
-        mu, s, e = (np.asarray(a, dtype=np.float64) for a in (mu, s, e_emb))
-        self._check(mu, s, e)
         d, lo = self.frame_dim, 2 * self.frame_dim + TIME_EMB_DIM
         rows = np.empty(mu.shape[:2] + (lo + self.style_dim + self.emotion_dim,))
         rows[..., d + TIME_EMB_DIM:lo] = mu
         rows[..., lo:lo + self.style_dim] = s[:, None, :]
         rows[..., lo + self.style_dim:] = e[:, None, :]
+        return rows
 
-        def score(y_t: np.ndarray, t) -> np.ndarray:
-            temb, sd, inv_sd = self._time(y_t, mu, t)
-            rows[..., :d] = y_t
-            rows[..., d:d + TIME_EMB_DIM] = temb[:, None, :]
-            noise = ad.mlp_eval(self.params, "net", [rows], self.n_layers)
-            noise += (y_t - mu) * (ad.mlp_eval(self.params, "skip", [temb], 2) - sd)[..., None]
-            noise *= inv_sd
-            return noise
+    def _forward(self, rows, y_t, t, mu, net=None, skip=None):
+        """The score at Y_t and t on the MLP input ``rows``, with Y_t - mu and 1 / sd(t),
+        each taken once per distinct t. Lists ``net`` and ``skip`` receive each MLP's
+        layer inputs, and then every layer is checked finite."""
+        if y_t.shape != mu.shape:
+            raise DiffusionError(f"Y_t shape {y_t.shape} does not match mu {mu.shape}")
+        temb, sd = np.atleast_2d(time_embedding(t)), np.sqrt(self.schedule.var(t)).reshape(-1, 1)
+        rows[..., :self.frame_dim] = y_t
+        rows[..., self.frame_dim:self.frame_dim + TIME_EMB_DIM] = temb[:, None, :]
+        name = None if net is None else self.params.name
+        noise = ad.mlp_eval(self.params, "net", [rows], self.n_layers, net, name and f"{name}.net")
+        dy, inv_sd = y_t - mu, (1.0 / sd).reshape(-1, 1, 1)
+        noise += dy * (ad.mlp_eval(self.params, "skip", [temb], 2, skip,
+                                   name and f"{name}.skip") - sd)[..., None]
+        noise *= inv_sd
+        return noise, dy, inv_sd
 
-        return score
+    def score_t(self, y_t, t, mu, s, e) -> Tensor:
+        """Graph-path score estimate: :meth:`bind`'s forward as one node, which checks
+        each layer of both MLPs finite (``scorenet.net`` / ``scorenet.skip``).
+
+        y_t and mu (n, L, D) and s (n, style_dim) are constants; a gradient
+        reaches e (n, emotion_dim) if it is a Tensor. t is one time or one
+        per row.
+        """
+        feed, net, skip = isinstance(e, Tensor) and e.requires_grad, [], []
+        rows = self._inputs(mu, s, e.data if isinstance(e, Tensor) else e)
+        out, dy, inv_sd = self._forward(rows, y_t, t, mu, net, skip)
+
+        def backward(g):
+            g = g * inv_sd
+            gx, grads = ad.mlp_backward(self.params, "net", net, g, feed)
+            if feed:
+                e._accumulate(gx[..., -self.emotion_dim:].sum(axis=-2))
+            # the skip coefficient's gradient: one row per distinct t
+            g = ad._unbroadcast(g * dy, inv_sd.shape).reshape(-1, 1)
+            grads.update(ad.mlp_backward(self.params, "skip", skip, g, False)[1])
+            for name, grad in grads.items():
+                self.params[name]._accumulate(grad)
+
+        params = ((e,) if feed else ()) + tuple(self.params.tensors().values())
+        return ad._make("scorenet", out, params, backward)
+
+    def bind(self, mu, s, e_emb):
+        """``score(y_t, t)``, this net at the constants mu, s and e_emb, which are checked
+        and written into the MLP input once: each call, on a float64 array Y_t, writes
+        only the Y_t and time columns. :meth:`score_t`'s forward, keeping no layer."""
+        mu, s, e = (np.asarray(a, dtype=np.float64) for a in (mu, s, e_emb))
+        rows = self._inputs(mu, s, e)
+        return lambda y_t, t: self._forward(rows, y_t, t, mu)[0]
 
     def __call__(self, y_t, t, mu, s, e_emb) -> np.ndarray:
         """:meth:`score_t` on arrays, building no graph; bitwise the same."""
@@ -257,7 +270,7 @@ def dsm_loss_t(scorenet: ScoreNet, y0: np.ndarray, mu, s, e_emb,
     e = e_emb if isinstance(e_emb, Tensor) else np.asarray(e_emb, dtype=np.float64)
     eps = scorenet.score_t(y_t, t, mu, np.asarray(s, dtype=np.float64), e)
     resid = ad.sub(eps, Tensor(-z / sd))
-    return ad.tmean(ad.mul(ad.mul(resid, resid), Tensor(np.broadcast_to(var, y0.shape).copy())))
+    return ad.tmean(ad.mul(ad.mul(resid, resid), Tensor(var)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +297,11 @@ def _check_posterior(probs: np.ndarray) -> None:
         raise DiffusionError("classifier output is not a valid distribution")
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma < np.inf:
+        raise DiffusionError(f"guidance scale gamma must be finite and >= 0, got {gamma}")
+
+
 def guided_score_cg(score_uncond, noisy_clf, y_t, t: float, target_e, gamma: float) -> np.ndarray:
     """Classifier guidance: score + gamma * grad log p(target | Y_t).
 
@@ -292,8 +310,7 @@ def guided_score_cg(score_uncond, noisy_clf, y_t, t: float, target_e, gamma: flo
     classifier, a hand-written backward on its parameters' arrays); at
     gamma=0 the unconditional score is returned untouched (bitwise).
     """
-    if gamma < 0:
-        raise DiffusionError(f"gamma must be >= 0, got {gamma}")
+    _check_gamma(gamma)
     score_uncond = np.asarray(score_uncond, dtype=np.float64)
     if gamma == 0.0:
         _check_posterior(noisy_clf.posterior(y_t, t))
@@ -371,8 +388,7 @@ def _guided_inputs(generator, table, tokens, s, emotion_label, gamma: float):
     """What both guided samplers build first, after checking the guidance
     scale: the token and style batches, one range-checked target per row,
     the null embedding and the null-path prior mean."""
-    if not 0.0 <= gamma < np.inf:
-        raise DiffusionError(f"guidance scale gamma must be finite and >= 0, got {gamma}")
+    _check_gamma(gamma)
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
         raise DiffusionError(f"expected a batch of tokens (n, L), got shape {tokens.shape}")

@@ -365,6 +365,17 @@ def _detach_rows(x: Tensor, mask: np.ndarray) -> Tensor:
     return ad.add(ad.mul(x, keep), Tensor(x.data * (1.0 - keep)))
 
 
+def _seen_speakers(world: World, split: SpeakerSplit, config: TrainConfig) -> np.ndarray:
+    """The split's seen speakers, after checking that it has some and that training
+    utterances fit the world's max_len."""
+    if not split.seen:
+        raise TrainingError("split has no seen speakers")
+    if config.utt_len > world.max_len:
+        raise TrainingError(f"train.utt_len {config.utt_len} exceeds the world's max_len "
+                            f"{world.max_len}")
+    return np.array(split.seen, dtype=np.int64)
+
+
 def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainConfig(),
                 model_config: ModelConfig = ModelConfig(),
                 trace: list | None = None) -> Checkpoint:
@@ -388,11 +399,9 @@ def train_model(world: World, split: SpeakerSplit, config: TrainConfig = TrainCo
     reads the adversary: L_e is logged from the probe's graph-free logits,
     outside the joint graph, and the probe-only updates do not run.
     """
-    if not split.seen:
-        raise TrainingError("split has no seen speakers")
+    seen = _seen_speakers(world, split, config)
     model = build_model(world, model_config)
     rng = np.random.default_rng(config.seed)
-    seen = np.array(split.seen, dtype=np.int64)
     stores = [model.encoder.params, model.table.params, model.generator.params,
               model.scorenet.params, model.probe.params]
     for i in range(config.steps):
@@ -468,10 +477,10 @@ def train_noisy_classifier(world: World, split: SpeakerSplit, model: Model,
     Trained after and separately from the main model, with no graph: only
     the classifier store is updated.
     """
+    seen = _seen_speakers(world, split, config)
     clf = model.noisy_clf
     schedule = model.schedule
     rng = np.random.default_rng([config.seed, 0xC1F])
-    seen = np.array(split.seen, dtype=np.int64)
     for i in range(config.clf_steps):
         speakers = rng.choice(seen, size=config.clf_batch)
         labels = rng.choice(np.arange(world.n_emotions), size=config.clf_batch)

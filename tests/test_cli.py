@@ -366,6 +366,10 @@ _CORRUPT = {
     ("train", "train.steps=40 train.dat_probe_lr=-0.05", None),
     ("train", "train.steps=40 train.alpha=nan", None),
     ("train", "train.steps=40 train.w_dsm=nan", None),
+    ("train", "train.steps=2 model.t_final=inf", None),
+    ("verify", "model.t_final=inf", None),
+    ("train", "train.steps=2 model.beta1=inf", None),
+    ("train", "train.steps=2 train.utt_len=100", None),
 ], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint",
         "sample-tokens", "sample-n", "sample-mode-comment", "train-batch-size",
         "sample-speaker", "truncated-world", "world-header-value", "world-matrix-entry",
@@ -378,7 +382,8 @@ _CORRUPT = {
         "world-vocab-set", "world-vocab-file", "world-tau-negative", "world-tau-zero",
         "world-max-len", "eval-per-emotion", "cfg-gamma", "gamma-nan", "train-clip-norm",
         "train-clip-norm-nan", "train-lr", "train-dat-probe-lr", "train-alpha-nan",
-        "train-w-dsm-nan"])
+        "train-w-dsm-nan", "train-t-final-inf", "verify-t-final-inf", "train-beta1-inf",
+        "train-utt-len"])
 def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, setting,
                                              corrupt):
     # ``setting`` holds one or more space-separated overrides; ``corrupt``

@@ -33,6 +33,11 @@ def test_schedule_invariants(schedule):
     assert schedule.rho(schedule.T) < 0.01
     with pytest.raises(DiffusionError):
         mw.NoiseSchedule(beta0=2.0, beta1=1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DiffusionError, match="beta0 < beta1 < inf"):
+            mw.NoiseSchedule(beta1=bad)
+        with pytest.raises(DiffusionError, match="t_min < T < inf"):
+            mw.NoiseSchedule(T=bad)
 
 
 def test_time_embedding_shape():
@@ -402,6 +407,16 @@ def test_guided_score_cg_rejects_invalid_distribution(schedule):
         mw.guided_score_cg(np.zeros((1, 4)), Broken(), np.zeros((1, 4)), 0.3, 1, 1.0)
 
 
+@pytest.mark.parametrize("gamma", [-1.0, np.nan, np.inf])
+def test_guided_score_cg_rejects_a_bad_gamma(schedule, gamma):
+    world = mw.make_world(seed=7)
+    tokens = np.array([1, 2])
+    clf = AnalyticNoisyClassifier(world, 0, tokens, mw.utterance_mean(world, 0, 0, tokens),
+                                  schedule)
+    with pytest.raises(DiffusionError, match="gamma must be finite and >= 0"):
+        mw.guided_score_cg(np.zeros((2, 8)), clf, np.zeros((2, 8)), 0.5, 1, gamma)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_check_posterior_rejects_non_finite(bad):
     probs = np.full((2, 4), 0.25)
@@ -623,12 +638,24 @@ def test_mlp_inputs_of_the_wrong_width_name_the_store(random_model):
         model.probe.logits(style)
 
 
+def _reshape(x, shape):
+    """The reshape node that the reference chains below take: the graph op
+    that the score net's skip coefficient needed before its one node."""
+    old_shape = x.shape
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g.reshape(old_shape))
+
+    return ad._make("reshape", x.data.reshape(shape), (x,), backward)
+
+
 def _repeat_rows(x, length):
     """x (n, w) repeated over L by a reshape and a broadcast node: how the
     graph paths fed per-utterance conditioning to an MLP before its node
     took row blocks, kept here as the reference."""
     n, width = x.shape
-    shaped = ad.reshape(x, (n, 1, width))
+    shaped = _reshape(x, (n, 1, width))
 
     def backward(g):
         shaped._accumulate(ad._unbroadcast(g, shaped.shape))
@@ -653,7 +680,7 @@ def _score_chain(net, y_t, t, mu, s, e):
     sd = np.sqrt(net.schedule.var(t)).reshape(-1, 1)
     coeff = ad.sub(ad.mlp_apply(net.params, "skip", [Tensor(np.atleast_2d(temb))], 2),
                    Tensor(sd))
-    skip = ad.mul(Tensor(y_t - mu), ad.reshape(coeff, (-1, 1, 1)))
+    skip = ad.mul(Tensor(y_t - mu), _reshape(coeff, (-1, 1, 1)))
     noise = ad.add(skip, ad.mlp_apply(net.params, "net", [rows], net.n_layers))
     return ad.mul(noise, (1.0 / sd).reshape(-1, 1, 1))
 
@@ -691,6 +718,44 @@ def test_block_node_is_bitwise_the_reshape_broadcast_concat_chain(random_model, 
     assert len(results[1]) == 4 + len(gen.params.tensors()) + len(net.params.tensors())
     for reference, node in zip(*results):
         assert reference.tobytes() == node.tobytes()
+
+
+@pytest.mark.parametrize("per_row_t", [False, True])
+def test_score_node_on_an_array_emotion_is_the_chain(random_model, per_row_t):
+    # the dsm_null path: e is a plain array, so only the parameters take a
+    # gradient; the node against the chain, forward and every gradient
+    world, model = random_model
+    net = model.scorenet
+    rng = np.random.default_rng(30 + per_row_t)
+    n, length = 5, 4
+    y, mu, target = rng.standard_normal((3, n, length, world.frame_dim))
+    s = rng.standard_normal((n, model.config.style_dim))
+    e = rng.standard_normal((n, model.config.emotion_dim))
+    t = rng.uniform(0.01, 1.0, size=n) if per_row_t else 0.37
+    results = []
+    for chained in (True, False):
+        net.params.zero_grad()
+        eps = _score_chain(net, y, t, mu, s, Tensor(e)) if chained else net.score_t(y, t, mu, s, e)
+        ad.mse(eps, target).backward()
+        results.append([eps.data] + [p.grad for p in net.params.tensors().values()])
+    for reference, node in zip(*results):
+        assert reference.tobytes() == node.tobytes()
+
+
+@pytest.mark.parametrize("param, layer", [("net.b1", "net layer 1"),
+                                          ("skip.b0", "skip layer 0")])
+def test_score_node_names_a_non_finite_layer(param, layer):
+    # tanh maps the inf to 1, so the bound score, which checks no layer, stays
+    # finite; the graph node names the layer
+    world = mw.make_world(seed=7)
+    net = mw.build_model(world).scorenet
+    net.params[param].data[0] = np.inf
+    rng = np.random.default_rng(4)
+    y, mu = rng.standard_normal((2, 2, 3, world.frame_dim))
+    s, e = np.zeros((2, net.style_dim)), np.zeros((2, net.emotion_dim))
+    assert np.isfinite(net(y, 0.5, mu, s, e)).all()
+    with pytest.raises(ad.GraphError, match=f"'scorenet.{layer}'"):
+        net.score_t(y, 0.5, mu, s, e)
 
 
 _B = ad._BLOCK_ROWS // 8  # utterances of 8 frames per block

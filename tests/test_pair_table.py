@@ -20,13 +20,14 @@ def _checkout(root: Path, name: str, legs: dict[int, float], competing=()) -> Pa
     for seed, value in legs.items():
         (out / f"run-sample-seed{seed}-trace0.json").write_text(json.dumps({
             "workload": "sample", "seed": seed, "competing_load": seed in competing,
-            "failed": 0, "metrics": {"leg1_ms": value}}))
+            "failed": 0, "metrics": {"leg1_ms": value},
+            "probe_ms": [value + 1.0, 100.0, value]}))
     # a traced record and an unpaired seed are left out
     (out / "run-sample-seed1-trace1.json").write_text("not read")
     return root / name
 
 
-def test_pairs_by_seed_and_reports_medians_iqr_wins_and_bound(tmp_path):
+def test_pairs_by_seed_and_reports_medians_iqr_wins_and_bound(tmp_path, capsys):
     parent = _checkout(tmp_path, "parent", {1: 10.0, 2: 12.0, 3: 11.0, 4: 13.0, 9: 1.0})
     change = _checkout(tmp_path, "change", {1: 9.0, 2: 12.0, 3: 8.0, 4: 14.0}, competing={3})
     result = pair_table.table(parent, change)
@@ -36,9 +37,13 @@ def test_pairs_by_seed_and_reports_medians_iqr_wins_and_bound(tmp_path):
     assert (m["parent_median"], m["change_median"]) == (11.5, 10.5)
     assert m["parent_iqr"] == pytest.approx(12.25 - 10.75)
     assert (m["pairs_won"], m["pairs"]) == (2, 4)  # seed 2 is a tie
+    # each pair's two probe medians, parent then change
+    assert result["sample"]["probe_ms"] == [[11.0, 10.0], [13.0, 13.0], [12.0, 9.0], [14.0, 15.0]]
     assert not m["worse_beyond_bound"]
     slow = _checkout(tmp_path, "slow", {1: 20.0, 2: 20.0, 3: 20.0, 4: 20.0})
     assert pair_table.table(parent, slow)["sample"]["metrics"]["leg1_ms"]["worse_beyond_bound"]
     out = tmp_path / "bench.json"
     assert pair_table.main([str(parent), str(change), "--out", str(out)]) == 0
     assert json.loads(out.read_text()) == result
+    assert "sample: probe medians (ms), parent/change by seed: 1 11/10, 2 13/13, 3 12/9" in (
+        capsys.readouterr().out)

@@ -230,16 +230,19 @@ def count_tensors(monkeypatch) -> list:
 
 
 def test_joint_step_tensor_count(world, split, monkeypatch):
-    # one joint step's graph: five Tensors fewer per generator and per score
-    # net call than the reshape/broadcast/concat chains their MLP nodes took
-    # before, and no constant for the null embedding (71 Tensors a step)
+    # one joint step's graph: each of the two score-net calls (dsm and
+    # dsm_null) is one node, where its chain of two MLP nodes, sub,
+    # reshape, mul, add, mul and three constants took 10 Tensors (55 a step
+    # before); the generator's MLP node takes five Tensors fewer than the
+    # reshape/broadcast/concat chain before it, and no constant holds the
+    # null embedding
     made = count_tensors(monkeypatch)
     counts = []
     for steps in (1, 2):
         made.clear()
         mw.train_model(world, split, small_config(steps=steps))
         counts.append(len(made))
-    assert counts[1] - counts[0] == 55
+    assert counts[1] - counts[0] == 37
 
 
 def test_probe_updates_match_reencoding_every_update(world):
@@ -484,6 +487,15 @@ def test_noisy_classifier_training_is_bitwise_the_graph(world, split, clf_logits
     assert [r["clf_loss"] for r in trace] == reference
     for name, tensor in graph.noisy_clf.params.tensors().items():
         assert tensor.data.tobytes() == arrays.noisy_clf.params[name].data.tobytes(), name
+
+
+def test_training_rejects_utterances_longer_than_max_len(world, split):
+    config = small_config(steps=1, clf_steps=1, utt_len=world.max_len + 1)
+    match = f"train.utt_len {world.max_len + 1} exceeds the world's max_len {world.max_len}"
+    with pytest.raises(TrainingError, match=match):
+        mw.train_model(world, split, config)
+    with pytest.raises(TrainingError, match=match):
+        mw.train_noisy_classifier(world, split, mw.build_model(world), config)
 
 
 def test_noisy_classifier_training_builds_no_graph(world, split, monkeypatch):

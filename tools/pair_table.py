@@ -10,7 +10,8 @@ per workload: each side's median, the change against the parent, the
 parent's interquartile range, the pairs the change won (ties count for
 neither side) and whether the median is worse than the parent's by more
 than the metric's bound. It lists the seeds of runs flagged
-``competing_load``, and writes the same figures to ``--out`` as JSON.
+``competing_load`` and each pair's two probe medians (the ``probe_ms`` that
+scales a run's legs), and writes the same figures to ``--out`` as JSON.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ def table(parent_dir: Path, change_dir: Path) -> dict:
                                                   ("change", [c for _, c in pairs]))},
             "failed": {"parent": sum(p["failed"] for p, _ in pairs),
                        "change": sum(c["failed"] for _, c in pairs)},
+            "probe_ms": [[statistics.median(p["probe_ms"]), statistics.median(c["probe_ms"])]
+                         for p, c in pairs],
             "metrics": metrics,
         }
     return out
@@ -94,6 +97,8 @@ def markdown(result: dict) -> str:
                      f"{w['competing_load']['parent']}, change {w['competing_load']['change']}; "
                      f"failed operations parent {w['failed']['parent']}, "
                      f"change {w['failed']['change']}")
+        notes.append(f"{workload}: probe medians (ms), parent/change by seed: " + ", ".join(
+            f"{s} {p:.4g}/{c:.4g}" for s, (p, c) in zip(w["seeds"], w["probe_ms"])))
     return "\n".join(lines + [""] + notes)
 
 
