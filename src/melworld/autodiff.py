@@ -353,12 +353,29 @@ def mse(a, b) -> Tensor:
     return _make("mse", out_data, (a, b), backward)
 
 
+def softmax_ce_parts(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, float]:
+    """The one softmax cross-entropy, on logits (n, K) and integer labels (n,):
+    softmax(logits), that softmax minus the one-hot rows of ``labels`` (the
+    cross-entropy's gradient per row), and the mean cross-entropy. The graph
+    node scales the middle one by ``g / n``, the graph-free steps by ``1 / n``."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    p = np.exp(shifted)
+    total = p.sum(axis=-1, keepdims=True)
+    rows = np.arange(len(p))
+    loss = float((np.log(total[:, 0]) - shifted[rows, labels]).sum() / max(len(p), 1))
+    p /= total
+    softmax_rows = p.copy()
+    p[rows, labels] -= 1.0
+    return softmax_rows, p, loss
+
+
 def softmax_cross_entropy(logits, labels) -> Tensor:
     """Fused softmax + cross-entropy, mean over leading dimensions.
 
     ``logits`` is (..., K); ``labels`` holds integer class ids of shape
     (...). Fusing keeps the backward numerically stable: the input gradient
-    is (softmax - onehot) / n without forming log of small probabilities.
+    is (softmax - onehot) / n (:func:`softmax_ce_parts`) without forming log
+    of small probabilities.
     """
     logits = _constant(logits)
     labels_arr = np.asarray(labels, dtype=np.int64)
@@ -368,22 +385,14 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
                          f"logits '{logits.name}' leading shape {logits.data.shape[:-1]}")
     if labels_arr.size and (labels_arr.min() < 0 or labels_arr.max() >= k):
         raise GraphError(f"cross-entropy label out of range for {k} classes")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1))
-    flat_shifted = shifted.reshape(-1, k)
-    flat_labels = labels_arr.reshape(-1)
-    picked = flat_shifted[np.arange(flat_labels.size), flat_labels]
-    n = max(flat_labels.size, 1)
-    out_data = np.array((log_z.reshape(-1) - picked).sum() / n)
+    _, delta, loss = softmax_ce_parts(logits.data.reshape(-1, k), labels_arr.reshape(-1))
+    n = max(labels_arr.size, 1)
 
     def backward(g):
         if logits.requires_grad:
-            p = np.exp(flat_shifted)
-            p /= p.sum(axis=-1, keepdims=True)
-            p[np.arange(flat_labels.size), flat_labels] -= 1.0
-            logits._accumulate((g / n) * p.reshape(logits.data.shape))
+            logits._accumulate((g / n) * delta.reshape(logits.data.shape))
 
-    return _make("softmax_ce", out_data, (logits,), backward)
+    return _make("softmax_ce", np.array(loss), (logits,), backward)
 
 
 def grad_reverse(x, alpha: float = 1.0) -> Tensor:
@@ -531,13 +540,14 @@ def gradcheck(loss, params: ParamStore, epsilon: float = 1e-5) -> dict[str, floa
 
 
 def mlp_init(store: ParamStore, prefix: str, sizes: list[int]) -> None:
-    """Register weight/bias parameters for an MLP with the given layer sizes."""
+    """Register weight/bias parameters for an MLP with the given layer sizes;
+    :func:`mlp_eval` reads its depth back from them."""
     for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         store.add(f"{prefix}.w{i}", (n_in, n_out))
         store.add(f"{prefix}.b{i}", (n_out,), init="zeros")
 
 
-def mlp_apply(store: ParamStore, prefix: str, blocks: list, n_layers: int) -> Tensor:
+def mlp_apply(store: ParamStore, prefix: str, blocks: list) -> Tensor:
     """The MLP of :func:`mlp_init` (tanh hidden layers, a linear final layer)
     on row blocks, arrays or Tensors (see :func:`mlp_eval`), as one graph
     node: bitwise the chain of nodes that would repeat, join and transform
@@ -545,7 +555,7 @@ def mlp_apply(store: ParamStore, prefix: str, blocks: list, n_layers: int) -> Te
     gradient, summed over L if it is per-utterance."""
     layers: list = []
     arrays = [b.data if isinstance(b, Tensor) else b for b in blocks]
-    out = mlp_eval(store, prefix, arrays, n_layers, layers, f"{store.name}.{prefix}")
+    out = mlp_eval(store, prefix, arrays, layers, check=True)
     offsets = np.cumsum([0] + [a.shape[-1] for a in arrays])
     inputs = [(b, lo, hi) for b, lo, hi in zip(blocks, offsets[:-1], offsets[1:])
               if isinstance(b, Tensor) and b.requires_grad]
@@ -558,7 +568,7 @@ def mlp_apply(store: ParamStore, prefix: str, blocks: list, n_layers: int) -> Te
         for name, grad in grads.items():
             store[name]._accumulate(grad)
 
-    params = tuple(store[f"{prefix}.{p}{i}"] for i in range(n_layers) for p in "wb")
+    params = tuple(store[f"{prefix}.{p}{i}"] for i in range(len(layers)) for p in "wb")
     return _make("mlp", out, (*(b for b, _, _ in inputs), *params), backward)
 
 
@@ -583,36 +593,40 @@ def _rows(blocks: list) -> np.ndarray:
 _BLOCK_ROWS = 256
 
 
-def mlp_eval(store: ParamStore, prefix: str, blocks: list, n_layers: int,
-             layers: list | None = None, check: str | None = None) -> np.ndarray:
+def mlp_eval(store: ParamStore, prefix: str, blocks: list, layers: list | None = None,
+             check: bool = False) -> np.ndarray:
     """The MLP on the parameters' arrays, in place and with no graph, on the
     row blocks side by side: per-frame (n, L, w) as they are, per-utterance
     (n, w) repeated over L. ``layers`` receives each layer's input for
     :func:`mlp_backward`. With ``check``, a non-finite pre-activation raises
-    ``GraphError`` naming ``check`` and the layer (``tanh`` would hide it).
-    Without ``layers``, per-frame rows above :data:`_BLOCK_ROWS` run through
-    every layer in blocks of utterances, bitwise the whole batch: a stacked
-    matmul takes one product per utterance."""
+    ``GraphError`` naming the store, ``prefix`` and the layer (``tanh`` would
+    hide it). Without ``layers``, per-frame rows above :data:`_BLOCK_ROWS` run
+    through every layer in blocks of utterances, bitwise the whole batch: a
+    stacked matmul takes one product per utterance."""
     x = blocks[0]
     if any(len(b) != len(x) for b in blocks):
         raise GraphError(f"row blocks of shapes {[b.shape for b in blocks]} differ in rows")
-    h, fan_in = _rows(blocks), store[f"{prefix}.w0"].data.shape[0]
+    params = store._params
+    h, w = _rows(blocks), params[f"{prefix}.w0"]
+    fan_in = w.data.shape[0]
     if h.shape[-1] != fan_in:
         raise GraphError(f"'{store.name}.{prefix}' takes rows of width {fan_in}, got {h.shape[-1]}")
     if layers is None and h.ndim == 3 and len(h) > 1 and len(h) * h.shape[1] > _BLOCK_ROWS:
         per = max(1, _BLOCK_ROWS // h.shape[1])
-        return np.concatenate([mlp_eval(store, prefix, [h[lo:lo + per]], n_layers, None, check)
+        return np.concatenate([mlp_eval(store, prefix, [h[lo:lo + per]], None, check)
                                for lo in range(0, len(h), per)])
-    for i in range(n_layers):
+    # the layers run while the store holds their weights: w0, w1, ...
+    for i in itertools.count():
         if layers is not None:
             layers.append(h)
-        h = h @ store[f"{prefix}.w{i}"].data
-        h += store[f"{prefix}.b{i}"].data
-        if check is not None:
-            _check_finite(h, f"{check} layer {i}")
-        if i < n_layers - 1:
-            np.tanh(h, out=h)
-    return h
+        h = h @ w.data
+        h += params[f"{prefix}.b{i}"].data
+        if check:
+            _check_finite(h, f"{store.name}.{prefix} layer {i}")
+        w = params.get(f"{prefix}.w{i + 1}")
+        if w is None:
+            return h
+        np.tanh(h, out=h)
 
 
 def mlp_backward(store: ParamStore, prefix: str, layers: list, g: np.ndarray,

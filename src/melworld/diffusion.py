@@ -159,7 +159,6 @@ class ScoreNet:
         self.frame_dim = frame_dim
         self.style_dim = config.style_dim
         self.emotion_dim = config.emotion_dim
-        self.n_layers = config.n_hidden + 1
         self.schedule = config.schedule
         self.params = ParamStore(config.seed, "scorenet")
         in_dim = frame_dim + TIME_EMB_DIM + frame_dim + self.style_dim + self.emotion_dim
@@ -167,10 +166,8 @@ class ScoreNet:
         # g starts at exactly 0, so an untrained net is the prior score plus
         # the MLP; a random g/sd(t) term would make the reverse ODE stiff
         # near t_min
-        self.params.add("skip.w0", (TIME_EMB_DIM, _SKIP_HIDDEN))
-        self.params.add("skip.b0", (_SKIP_HIDDEN,), init="zeros")
-        self.params.add("skip.w1", (_SKIP_HIDDEN, 1), init="zeros")
-        self.params.add("skip.b1", (1,), init="zeros")
+        ad.mlp_init(self.params, "skip", [TIME_EMB_DIM, _SKIP_HIDDEN, 1])
+        self.params["skip.w1"].data[:] = 0.0
 
     def _inputs(self, mu, s, e) -> np.ndarray:
         """After their check, the MLP input with the constant columns mu, s and e
@@ -197,11 +194,10 @@ class ScoreNet:
         temb, sd = np.atleast_2d(time_embedding(t)), np.sqrt(self.schedule.var(t)).reshape(-1, 1)
         rows[..., :self.frame_dim] = y_t
         rows[..., self.frame_dim:self.frame_dim + TIME_EMB_DIM] = temb[:, None, :]
-        name = None if net is None else self.params.name
-        noise = ad.mlp_eval(self.params, "net", [rows], self.n_layers, net, name and f"{name}.net")
+        check = net is not None
+        noise = ad.mlp_eval(self.params, "net", [rows], net, check)
         dy, inv_sd = y_t - mu, (1.0 / sd).reshape(-1, 1, 1)
-        noise += dy * (ad.mlp_eval(self.params, "skip", [temb], 2, skip,
-                                   name and f"{name}.skip") - sd)[..., None]
+        noise += dy * (ad.mlp_eval(self.params, "skip", [temb], skip, check) - sd)[..., None]
         noise *= inv_sd
         return noise, dy, inv_sd
 

@@ -30,14 +30,13 @@ class StyleEncoder:
 
     def __init__(self, frame_dim: int, config: ModelConfig):
         self.frame_dim = frame_dim
-        self.n_layers = config.n_hidden + 1
         self.params = ParamStore(config.seed, "style_encoder")
         sizes = [frame_dim] + [config.hidden] * config.n_hidden + [config.style_dim]
         ad.mlp_init(self.params, "net", sizes)
 
     def encode_t(self, frames) -> Tensor:
         """Graph path; frames (n, L, D) -> (n, style_dim)."""
-        h = ad.mlp_apply(self.params, "net", [frames], self.n_layers)
+        h = ad.mlp_apply(self.params, "net", [frames])
         return ad.symmetric_mean(h, axis=-2)
 
     def encode(self, frames) -> np.ndarray:
@@ -49,7 +48,7 @@ class StyleEncoder:
                              f"got {arr.shape}")
         if arr.shape[-2] == 0:
             raise StyleError("reference frames must be nonempty")
-        h = ad.mlp_eval(self.params, "net", [arr], self.n_layers)
+        h = ad.mlp_eval(self.params, "net", [arr])
         h.sort(axis=-2)
         return h.mean(axis=-2)
 
@@ -96,7 +95,6 @@ class Generator:
 
     def __init__(self, vocab: int, frame_dim: int, config: ModelConfig):
         self.vocab = vocab
-        self.n_layers = config.n_hidden + 1
         self.params = ParamStore(config.seed, "generator")
         self.params.add("tok", (vocab, config.token_dim))
         sizes = ([config.token_dim + config.style_dim + config.emotion_dim]
@@ -122,10 +120,10 @@ class Generator:
         (n, emotion_dim) give (n, L, frame_dim). Each row depends only on
         its own token plus its utterance's conditioning."""
         blocks = self._blocks(tokens, style, emotion_emb, graph=True)
-        return ad.mlp_apply(self.params, "net", blocks, self.n_layers)
+        return ad.mlp_apply(self.params, "net", blocks)
 
     def generate(self, tokens, style, emotion_emb) -> np.ndarray:
         """Prior mean mu, one row per token; pure, bitwise the graph path's."""
         style, emotion_emb = (np.asarray(a, dtype=np.float64) for a in (style, emotion_emb))
         blocks = self._blocks(tokens, style, emotion_emb, graph=False)
-        return ad.mlp_eval(self.params, "net", blocks, self.n_layers)
+        return ad.mlp_eval(self.params, "net", blocks)

@@ -130,52 +130,36 @@ class EmotionProbeHead:
     """Softmax probe over the style vector; the DAT adversary."""
 
     def __init__(self, style_dim: int, n_emotions: int, seed: int = 0):
-        self.n_layers = 2
         self.params = ParamStore(seed, "probe")
         ad.mlp_init(self.params, "net", [style_dim, _PROBE_HIDDEN, n_emotions])
 
     def logits_t(self, style: Tensor) -> Tensor:
-        return ad.mlp_apply(self.params, "net", [style], self.n_layers)
+        return ad.mlp_apply(self.params, "net", [style])
 
     def logits(self, style) -> np.ndarray:
-        return ad.mlp_eval(self.params, "net", [np.asarray(style, dtype=np.float64)],
-                           self.n_layers)
+        return ad.mlp_eval(self.params, "net", [np.asarray(style, dtype=np.float64)])
 
     def posterior(self, style) -> np.ndarray:
         return np_softmax(self.logits(style), axis=-1)
 
     def descend(self, style: np.ndarray, labels, lr: float) -> float:
         """One SGD step of the probe alone at a constant style (:func:`_descend`)."""
-        return _descend(self.params, self.n_layers, [style], labels, lr, None)
+        return _descend(self.params, [style], labels, lr, None)
 
 
-def _ce_grad(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, float]:
-    """softmax(logits), d(mean cross-entropy at ``labels``)/d(logits) and that
-    cross-entropy, in the operations of ``softmax_cross_entropy`` and its
-    backward."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    p = np.exp(shifted)
-    total = p.sum(axis=-1, keepdims=True)
-    rows = np.arange(len(p))
-    loss = float((np.log(total[:, 0]) - shifted[rows, labels]).sum() / len(p))
-    p /= total
-    posterior = p.copy()
-    p[rows, labels] -= 1.0
-    return posterior, (1.0 / len(p)) * p, loss
-
-
-def _descend(store: ParamStore, n_layers: int, blocks: list, labels, lr: float,
+def _descend(store: ParamStore, blocks: list, labels, lr: float,
              clip_norm: float | None) -> float:
     """One graph-free SGD step of ``store``'s softmax classifier MLP "net" on
     its mean cross-entropy, which it returns; bitwise the graph's step, with
     ``sgd_update`` when it clips. ``GraphError`` if a layer or the loss is
     not finite."""
     layers = []
-    logits = ad.mlp_eval(store, "net", blocks, n_layers, layers, f"{store.name}.net")
-    _, g, loss = _ce_grad(logits, labels)
+    logits = ad.mlp_eval(store, "net", blocks, layers, check=True)
+    _, delta, loss = ad.softmax_ce_parts(logits, labels)
     if not np.isfinite(loss):
         raise GraphError(f"non-finite values in node '{store.name}.net cross-entropy'")
-    _, grads = ad.mlp_backward(store, "net", layers, g, input_grad=False)
+    _, grads = ad.mlp_backward(store, "net", layers, (1.0 / len(delta)) * delta,
+                               input_grad=False)
     if clip_norm is None:
         for name, grad in grads.items():
             store[name].data = store[name].data - lr * grad
@@ -198,7 +182,6 @@ class NoisyClassifier:
     def __init__(self, frame_dim: int, n_emotions: int, config: ModelConfig):
         self.frame_dim = frame_dim
         self.n_emotions = n_emotions
-        self.n_layers = config.n_hidden + 1
         self.params = ParamStore(config.seed, "noisy_clf")
         ad.mlp_init(self.params, "net", [frame_dim + TIME_EMB_DIM]
                     + [config.clf_hidden] * config.n_hidden + [n_emotions])
@@ -214,14 +197,15 @@ class NoisyClassifier:
 
     def posterior(self, y_t, t) -> np.ndarray:
         x = self._input(np.asarray(y_t, dtype=np.float64), t)
-        return np_softmax(ad.mlp_eval(self.params, "net", x, self.n_layers), axis=-1)
+        return np_softmax(ad.mlp_eval(self.params, "net", x), axis=-1)
 
     def grad_log_prob(self, y_t, t, target) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of log p(target | Y_t) with respect to Y_t, one target
         per row, and the posterior p(. | Y_t). One forward pass and a
         hand-written backward on the parameters' arrays, with no graph: the
         operations of ``softmax_cross_entropy`` on the classifier's graph and
-        of its backward in the same order, so bitwise equal to them."""
+        of its backward (:func:`~melworld.autodiff.softmax_ce_parts`) in the
+        same order, so bitwise equal to them."""
         y_t = np.asarray(y_t, dtype=np.float64)
         x = self._input(y_t, t)
         n, length, dim = y_t.shape
@@ -232,9 +216,9 @@ class NoisyClassifier:
         if bad.size:
             raise TrainingError(f"target {bad[0]} out of range [0, {self.n_emotions})")
         layers = []
-        logits = ad.mlp_eval(self.params, "net", x, self.n_layers, layers)
-        posterior, g, _ = _ce_grad(logits, target)
-        g, _ = ad.mlp_backward(self.params, "net", layers, g, param_grads=False)
+        logits = ad.mlp_eval(self.params, "net", x, layers)
+        posterior, delta, _ = ad.softmax_ce_parts(logits, target)
+        g, _ = ad.mlp_backward(self.params, "net", layers, (1.0 / n) * delta, param_grads=False)
         return -n * np.broadcast_to(g[:, None, :dim] / length, y_t.shape), posterior
 
 
@@ -489,8 +473,8 @@ def train_noisy_classifier(world: World, split: SpeakerSplit, model: Model,
         t = rng.uniform(schedule.t_min, schedule.T, size=config.clf_batch)
         y_t, _ = perturb(y0, mu_null, t, schedule, rng)
         try:
-            loss = _descend(clf.params, clf.n_layers, clf._input(y_t, t), labels,
-                            config.clf_lr, config.clip_norm)
+            loss = _descend(clf.params, clf._input(y_t, t), labels, config.clf_lr,
+                            config.clip_norm)
         except GraphError as exc:
             raise TrainingError(f"divergence at step {i}: {exc}") from exc
         if trace is not None:

@@ -78,15 +78,16 @@ def run_score_vs_numeric(world: World, schedule, n_points: int = 20,
                          ts=(0.1, 0.325, 0.55, 0.775, 1.0),
                          h: float = 1e-4, seed: int = 0) -> CheckResult:
     """Analytic score against central differences of the closed-form
-    log-density on a (t x point) grid. Each point's differences come from
-    one log-density call on the batch of every y + h e_i and y - h e_i."""
+    log-density on a (t x point) grid; ``ts`` are fractions of the schedule's
+    ``T``. Each point's differences come from one log-density call on the
+    batch of every y + h e_i and y - h e_i."""
     rng = np.random.default_rng([seed, 0xACE])
     tokens = rng.integers(0, world.vocab, size=2)
     speakers = list(range(min(3, world.n_speakers)))
     k = 2 * world.frame_dim
     step = h * np.eye(k).reshape((k, 2, world.frame_dim))
     worst = 0.0
-    for t in ts:
+    for t in (f * schedule.T for f in ts):
         for _ in range(n_points):
             mu = rng.standard_normal((2, world.frame_dim))
             y = rng.standard_normal((2, world.frame_dim))
@@ -104,14 +105,14 @@ def run_score_vs_numeric(world: World, schedule, n_points: int = 20,
 def run_bayes_identity(world: World, schedule, n_trials: int = 20,
                        seed: int = 0) -> CheckResult:
     """grad log p(Y|e) - grad log p(Y) = grad log p(e|Y), closed forms on
-    independent code paths."""
+    independent code paths, at times drawn from [0.02 T, T]."""
     rng = np.random.default_rng([seed, 0xBA1])
     worst = 0.0
     for _ in range(n_trials):
         tokens = rng.integers(0, world.vocab, size=3)
         mu = rng.standard_normal((3, world.frame_dim))
         y = rng.standard_normal((3, world.frame_dim))
-        t = float(rng.uniform(0.02, schedule.T))
+        t = float(rng.uniform(0.02 * schedule.T, schedule.T))
         speaker = int(rng.integers(0, world.n_speakers))
         emotion = int(rng.integers(0, world.n_emotions))
         clf = AnalyticNoisyClassifier(world, speaker, tokens, mu, schedule)

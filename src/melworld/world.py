@@ -394,6 +394,9 @@ def load_world(text: str) -> World:
             rows.append(row)
         matrices[name] = np.array(rows, dtype=np.float64)
         i += n_rows + 1
+    extra = next((n for n in range(i, len(lines)) if lines[n].strip()), None)
+    if extra is not None:
+        raise WorldError(f"unexpected content after matrix '{_MATRICES[-1]}' at line {extra + 1}")
     world = World(**header, seed=seed, **matrices)
     if np.any(world.emotion_offset[NEUTRAL] != 0.0):
         raise WorldError("corrupt world file: neutral emotion offset is nonzero")

@@ -59,6 +59,6 @@ def clf_logits_t():
     def logits_t(clf, y_t: Tensor, t) -> Tensor:
         temb = np.broadcast_to(time_embedding(t), (y_t.shape[0], TIME_EMB_DIM)).copy()
         x = ad.concat([pooled(y_t), Tensor(temb)])
-        return ad.mlp_apply(clf.params, "net", [x], clf.n_layers)
+        return ad.mlp_apply(clf.params, "net", [x])
 
     return logits_t

@@ -66,7 +66,7 @@ def test_criterion_2_gradient_reversal():
         grads = {}
         for reversed_ in (False, True):
             store.zero_grad()
-            h = ad.mlp_apply(store, "net", [Tensor(x)], 1)
+            h = ad.mlp_apply(store, "net", [Tensor(x)])
             if reversed_:
                 h = ad.grad_reverse(h, alpha)
             ad.tsum(ad.mul(h, Tensor(coeff))).backward()

@@ -52,7 +52,7 @@ def test_two_layer_matches_hand_composition():
     w1, b1 = store["net.w1"].data, store["net.b1"].data
     for _ in range(3):
         x = rng.standard_normal((5, 4))
-        out = ad.mlp_apply(store, "net", [Tensor(x)], 2)
+        out = ad.mlp_apply(store, "net", [Tensor(x)])
         hand = np.tanh(x @ w0 + b0) @ w1 + b1
         assert np.abs(out.data - hand).max() < 1e-12
 
@@ -73,7 +73,7 @@ def test_forward_does_not_mutate_params():
     store = ParamStore(0, "p")
     ad.mlp_init(store, "net", [3, 4, 1])
     before = store.state_dict()
-    ad.tsum(ad.mlp_apply(store, "net", [Tensor(np.ones((2, 3)))], 2))
+    ad.tsum(ad.mlp_apply(store, "net", [Tensor(np.ones((2, 3)))]))
     after = store.state_dict()
     for k in before:
         assert np.array_equal(before[k], after[k])
@@ -114,8 +114,8 @@ def test_backward_mlp_matches_finite_differences():
     x = Tensor(np.random.default_rng(5).standard_normal((6, 3)))
 
     def loss():
-        return ad.tmean(ad.mul(ad.mlp_apply(store, "net", [x], 2),
-                               ad.mlp_apply(store, "net", [x], 2)))
+        return ad.tmean(ad.mul(ad.mlp_apply(store, "net", [x]),
+                               ad.mlp_apply(store, "net", [x])))
 
     store.zero_grad()
     loss().backward()
@@ -162,7 +162,7 @@ def test_grad_reverse_equals_minus_alpha_times_unreversed(alpha):
 
     def run(with_reversal):
         store.zero_grad()
-        h = ad.mlp_apply(store, "net", [Tensor(x)], 1)
+        h = ad.mlp_apply(store, "net", [Tensor(x)])
         if with_reversal:
             h = ad.grad_reverse(h, alpha)
         loss = ad.tsum(ad.mul(h, Tensor(coeff)))
@@ -191,7 +191,7 @@ def test_gradcheck_tanh_mlp():
     store = ParamStore(9, "mlp")
     ad.mlp_init(store, "net", [2, 8, 1])
     x = Tensor(np.random.default_rng(4).standard_normal((3, 2)))
-    errors = gradcheck(lambda: ad.tsum(ad.mlp_apply(store, "net", [x], 2)), store,
+    errors = gradcheck(lambda: ad.tsum(ad.mlp_apply(store, "net", [x])), store,
                        epsilon=1e-5)
     assert max(errors.values()) < 1e-4
 
@@ -262,10 +262,28 @@ def test_softmax_cross_entropy_gradient():
     x = Tensor(np.random.default_rng(3).standard_normal((5, 3)))
 
     def loss():
-        return ad.softmax_cross_entropy(ad.mlp_apply(store, "net", [x], 1), labels)
+        return ad.softmax_cross_entropy(ad.mlp_apply(store, "net", [x]), labels)
 
     errors = gradcheck(loss, store, epsilon=1e-5)
     assert max(errors.values()) < 1e-4
+
+
+def test_cross_entropy_node_is_the_shared_cross_entropy_scaled_by_g_over_n():
+    # 3-D (n, L, K) logits under an upstream gradient of 0.37, as w_dat
+    # scales the probe's loss in the joint step
+    rng = np.random.default_rng(8)
+    logits = Tensor(3.0 * rng.standard_normal((3, 4, 5)), requires_grad=True)
+    labels = rng.integers(0, 5, size=(3, 4))
+    loss = ad.softmax_cross_entropy(logits, labels)
+    ad.mul(loss, 0.37).backward()
+    softmax, delta, ce = ad.softmax_ce_parts(logits.data.reshape(-1, 5), labels.reshape(-1))
+    assert loss.data.item() == ce
+    assert logits.grad.tobytes() == ((0.37 / 12) * delta.reshape(3, 4, 5)).tobytes()
+    onehot = np.eye(5)[labels.reshape(-1)]
+    np.testing.assert_allclose(softmax.sum(axis=-1), 1.0, rtol=1e-15)
+    np.testing.assert_array_equal(delta, softmax - onehot)
+    np.testing.assert_allclose(ce, -np.log(softmax[np.arange(12), labels.reshape(-1)]).mean(),
+                               rtol=1e-14)
 
 
 def test_gather_rows_sparse_gradient():
@@ -294,7 +312,7 @@ def test_determinism_forward_backward_bitwise():
         store = ParamStore(42, "det")
         ad.mlp_init(store, "net", [4, 8, 2])
         x = np.random.default_rng(0).standard_normal((5, 4))
-        loss = ad.tmean(ad.mul(h := ad.mlp_apply(store, "net", [Tensor(x)], 2), h))
+        loss = ad.tmean(ad.mul(h := ad.mlp_apply(store, "net", [Tensor(x)]), h))
         store.zero_grad()
         loss.backward()
         return float(loss.data), {k: t.grad.copy() for k, t in store.tensors().items()}
@@ -336,7 +354,7 @@ def test_random_graph_gradients_match_finite_differences(seed):
     x = Tensor(rng.standard_normal((4, 3)))
 
     def loss():
-        h = ad.mlp_apply(store, "net", [x], 2)
+        h = ad.mlp_apply(store, "net", [x])
         return ad.add(ad.mse(h, Tensor(np.zeros((4, 2)))), ad.tmean(ad.relu(h)))
 
     errors = gradcheck(loss, store, epsilon=1e-5)
@@ -386,7 +404,7 @@ def test_mlp_node_gradcheck(n_layers, input_grad):
     # a batch of (n, L, D) rows, as the encoder, generator and score net feed it
     x = store.add("x", (2, 4, 3)) if input_grad else Tensor(rng.standard_normal((2, 4, 3)))
     coeff = Tensor(rng.standard_normal((2, 4, 2)))
-    errors = gradcheck(lambda: ad.tsum(ad.mul(ad.mlp_apply(store, "net", [x], n_layers), coeff)),
+    errors = gradcheck(lambda: ad.tsum(ad.mul(ad.mlp_apply(store, "net", [x]), coeff)),
                        store)
     assert set(errors) == set(store.tensors())
     assert max(errors.values()) < 1e-6
@@ -401,11 +419,12 @@ def test_mlp_node_is_bitwise_the_affine_tanh_chain(n_layers):
     labels = rng.integers(0, 2, size=6)
     target = rng.standard_normal((16, 8, 2))
     results = []
-    for mlp in (_chain, ad.mlp_apply):
+    # the node reads its depth from the store; the reference chain is told it
+    for mlp in (lambda *args: _chain(*args, n_layers), ad.mlp_apply):
         store = _mlp_store(n_layers, seed=7)
         x = Tensor(x0, requires_grad=True)
-        first = mlp(store, "net", [x], n_layers)
-        second = mlp(store, "net", [Tensor(x1)], n_layers)
+        first = mlp(store, "net", [x])
+        second = mlp(store, "net", [Tensor(x1)])
         ad.add(ad.softmax_cross_entropy(first, labels), ad.mse(second, Tensor(target))).backward()
         results.append([first.data, second.data, x.grad]
                        + [t.grad for t in store.tensors().values()])
@@ -419,10 +438,10 @@ def test_mlp_repeats_per_utterance_blocks_over_the_frames():
     rng = np.random.default_rng(3)
     frames, cond = rng.standard_normal((4, 5, 1)), rng.standard_normal((4, 2))
     joined = np.concatenate([frames, np.broadcast_to(cond[:, None, :], (4, 5, 2))], axis=-1)
-    assert (ad.mlp_eval(store, "net", [frames, cond], 2).tobytes()
-            == ad.mlp_eval(store, "net", [joined], 2).tobytes())
+    assert (ad.mlp_eval(store, "net", [frames, cond]).tobytes()
+            == ad.mlp_eval(store, "net", [joined]).tobytes())
     with pytest.raises(GraphError, match=r"\(4, 5, 1\), \(1, 2\)\] differ in rows"):
-        ad.mlp_eval(store, "net", [frames, cond[:1]], 2)
+        ad.mlp_eval(store, "net", [frames, cond[:1]])
 
 
 @pytest.mark.parametrize("per_row_t", [False, True])
@@ -441,8 +460,8 @@ def test_blocked_inference_is_bitwise_the_whole_batch(per_row_t):
             rng.standard_normal(2), (n, 2))
         for blocks in ([frames, t_rows], [np.concatenate(
                 [frames, np.broadcast_to(t_rows[:, None, :], (n, length, 2))], axis=-1)]):
-            whole = ad.mlp_eval(store, "net", blocks, 3, [])
-            blocked = ad.mlp_eval(store, "net", blocks, 3)
+            whole = ad.mlp_eval(store, "net", blocks, [])
+            blocked = ad.mlp_eval(store, "net", blocks)
             assert blocked.shape == (n, length, 2)
             assert blocked.tobytes() == whole.tobytes(), n
 
@@ -453,9 +472,9 @@ def test_mlp_input_width_is_checked_against_the_first_weight():
     for blocks in ([np.zeros((3, 4))], [np.zeros((3, 4, 1)), np.zeros((3, 3))],
                    [np.zeros((per + 1, 4, 4))]):
         with pytest.raises(GraphError, match=r"'p\.net' takes rows of width 3, got 4"):
-            ad.mlp_eval(store, "net", blocks, 2)
+            ad.mlp_eval(store, "net", blocks)
         with pytest.raises(GraphError, match=r"'p\.net' takes rows of width 3, got 4"):
-            ad.mlp_apply(store, "net", blocks, 2)
+            ad.mlp_apply(store, "net", blocks)
 
 
 def test_mlp_node_names_the_layer_of_an_infinite_pre_activation():
@@ -466,6 +485,6 @@ def test_mlp_node_names_the_layer_of_an_infinite_pre_activation():
     store["net.w1"].data[:] = 1e308
     x = Tensor(np.ones((2, 3)))
     with np.errstate(over="ignore"):
-        assert np.isfinite(ad.mlp_eval(store, "net", [x.data], 3)).all()
+        assert np.isfinite(ad.mlp_eval(store, "net", [x.data])).all()
         with pytest.raises(GraphError, match=r"non-finite values in node 'p\.net layer 1'"):
-            ad.mlp_apply(store, "net", [x], 3)
+            ad.mlp_apply(store, "net", [x])

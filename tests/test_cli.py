@@ -234,6 +234,14 @@ def test_verify_passes_on_fresh_install(tmp_path, capsys):
     assert out.count("[ok]") == 3
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("verify", "model.t_final=0.5"),
+    ("verify", "model.t_final=0.015"),
+], ids=["verify-t-final-below-1", "verify-t-final-below-0.02"])
+def test_good_input_exits_0(tmp_path, command, setting):
+    assert main([command, "--outdir", str(tmp_path / "out"), "--set", setting]) == 0
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "train"
@@ -311,6 +319,8 @@ _CORRUPT = {
     "world-tau-negative": lambda raw: re.sub(rb"(?m)^tau .*$", b"tau -1", raw),
     "world-tau-zero": lambda raw: re.sub(rb"(?m)^tau .*$", b"tau 0", raw),
     "world-max-len": lambda raw: re.sub(rb"(?m)^max_len .*$", b"max_len 0", raw),
+    # one more token_effect row, then a garbage line
+    "world-trailing": lambda raw: raw + raw.splitlines(keepends=True)[-1] + b"garbage\n",
     "world-not-utf8": lambda raw: b"\xff" + raw,
     "config-not-utf8": lambda raw: b"\xff" + raw,
 }
@@ -370,6 +380,7 @@ _CORRUPT = {
     ("verify", "model.t_final=inf", None),
     ("train", "train.steps=2 model.beta1=inf", None),
     ("train", "train.steps=2 train.utt_len=100", None),
+    ("gen-data", "run.seed=0", "world-trailing"),
 ], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint",
         "sample-tokens", "sample-n", "sample-mode-comment", "train-batch-size",
         "sample-speaker", "truncated-world", "world-header-value", "world-matrix-entry",
@@ -383,7 +394,7 @@ _CORRUPT = {
         "world-max-len", "eval-per-emotion", "cfg-gamma", "gamma-nan", "train-clip-norm",
         "train-clip-norm-nan", "train-lr", "train-dat-probe-lr", "train-alpha-nan",
         "train-w-dsm-nan", "train-t-final-inf", "verify-t-final-inf", "train-beta1-inf",
-        "train-utt-len"])
+        "train-utt-len", "world-trailing-content"])
 def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, setting,
                                              corrupt):
     # ``setting`` holds one or more space-separated overrides; ``corrupt``

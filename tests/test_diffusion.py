@@ -150,7 +150,7 @@ def test_score_net_reduces_to_prior_score(schedule):
     # with both learned parts (the MLP and g) at zero, the skip term alone
     # gives the N(mu, I) prior score -(y_t - mu) at every t
     net = mw.ScoreNet(4, mw.ModelConfig())
-    last = net.n_layers - 1
+    last = mw.ModelConfig().n_hidden
     for name in (f"net.w{last}", f"net.b{last}", "skip.w1", "skip.b1"):
         net.params[name].data[:] = 0.0
     rng = np.random.default_rng(3)
@@ -667,7 +667,7 @@ def _repeat_rows(x, length):
 def _generate_chain(gen, tokens, style, e):
     rows = ad.concat([ad.gather_rows(gen.params["tok"], tokens),
                       _repeat_rows(style, tokens.shape[1]), _repeat_rows(e, tokens.shape[1])])
-    return ad.mlp_apply(gen.params, "net", [rows], gen.n_layers)
+    return ad.mlp_apply(gen.params, "net", [rows])
 
 
 def _score_chain(net, y_t, t, mu, s, e):
@@ -678,10 +678,10 @@ def _score_chain(net, y_t, t, mu, s, e):
               mu, np.broadcast_to(s[:, None, :], (n, length, s.shape[1]))]
     rows = ad.concat([Tensor(np.concatenate(arrays, axis=-1)), _repeat_rows(e, length)])
     sd = np.sqrt(net.schedule.var(t)).reshape(-1, 1)
-    coeff = ad.sub(ad.mlp_apply(net.params, "skip", [Tensor(np.atleast_2d(temb))], 2),
+    coeff = ad.sub(ad.mlp_apply(net.params, "skip", [Tensor(np.atleast_2d(temb))]),
                    Tensor(sd))
     skip = ad.mul(Tensor(y_t - mu), _reshape(coeff, (-1, 1, 1)))
-    noise = ad.add(skip, ad.mlp_apply(net.params, "net", [rows], net.n_layers))
+    noise = ad.add(skip, ad.mlp_apply(net.params, "net", [rows]))
     return ad.mul(noise, (1.0 / sd).reshape(-1, 1, 1))
 
 

@@ -10,18 +10,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import pair_table  # noqa: E402
 
-_SPEC = {"end_to_end": [{"name": "leg1_ms", "unit": "ms", "better": "lower", "bound": 0.25}]}
+_SPEC = {"end_to_end": [{"name": name, "unit": "ms", "better": "lower", "bound": 0.25}
+                        for name in ("leg1_ms", "leg2_ms")]}
 
 
-def _checkout(root: Path, name: str, legs: dict[int, float], competing=()) -> Path:
+def _checkout(root: Path, name: str, legs: dict[int, float], competing=(),
+              failed_leg2=()) -> Path:
+    # a run in ``failed_leg2`` failed every leg-2 operation: it is not
+    # correct and has no leg2_ms
     out = root / name / ".perfbench_out"
     out.mkdir(parents=True)
     (root / name / "BENCHMARK.json").write_text(json.dumps(_SPEC))
     for seed, value in legs.items():
+        metrics = {"leg1_ms": value} | ({} if seed in failed_leg2 else {"leg2_ms": value})
         (out / f"run-sample-seed{seed}-trace0.json").write_text(json.dumps({
             "workload": "sample", "seed": seed, "competing_load": seed in competing,
-            "failed": 0, "metrics": {"leg1_ms": value},
-            "probe_ms": [value + 1.0, 100.0, value]}))
+            "correct": seed not in failed_leg2, "failed": int(seed in failed_leg2),
+            "metrics": metrics, "probe_ms": [value + 1.0, 100.0, value]}))
     # a traced record and an unpaired seed are left out
     (out / "run-sample-seed1-trace1.json").write_text("not read")
     return root / name
@@ -33,6 +38,8 @@ def test_pairs_by_seed_and_reports_medians_iqr_wins_and_bound(tmp_path, capsys):
     result = pair_table.table(parent, change)
     assert result["sample"]["seeds"] == [1, 2, 3, 4]
     assert result["sample"]["competing_load"] == {"parent": [], "change": [3]}
+    assert result["sample"]["not_correct"] == {"parent": [], "change": []}
+    assert result["sample"]["left_out"] == []
     m = result["sample"]["metrics"]["leg1_ms"]
     assert (m["parent_median"], m["change_median"]) == (11.5, 10.5)
     assert m["parent_iqr"] == pytest.approx(12.25 - 10.75)
@@ -47,3 +54,16 @@ def test_pairs_by_seed_and_reports_medians_iqr_wins_and_bound(tmp_path, capsys):
     assert json.loads(out.read_text()) == result
     assert "sample: probe medians (ms), parent/change by seed: 1 11/10, 2 13/13, 3 12/9" in (
         capsys.readouterr().out)
+
+
+def test_names_the_runs_that_failed_and_the_metrics_left_out(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", {1: 10.0, 2: 12.0}, failed_leg2={2})
+    change = _checkout(tmp_path, "change", {1: 9.0, 2: 11.0}, failed_leg2={1, 2})
+    result = pair_table.table(parent, change)["sample"]
+    assert result["not_correct"] == {"parent": [2], "change": [1, 2]}
+    assert result["left_out"] == ["leg2_ms"]
+    assert list(result["metrics"]) == ["leg1_ms"]
+    assert pair_table.main([str(parent), str(change), "--out", str(tmp_path / "b.json")]) == 0
+    out = capsys.readouterr().out
+    assert "not correct parent [2], change [1, 2]" in out
+    assert "sample: left out, missing from some run: leg2_ms" in out

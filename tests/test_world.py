@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import melworld as mw
+from melworld import verify
 from melworld.world import (
     NEUTRAL,
     AnalyticNoisyClassifier,
@@ -287,6 +288,23 @@ def test_posterior_normalized(world, schedule):
         assert np.all(post >= 0)
 
 
+@pytest.mark.parametrize("T", [0.5, 1.0])
+def test_score_vs_numeric_takes_its_times_as_fractions_of_T(world, monkeypatch, T):
+    # the grid ends at the schedule's T, and at T = 1 its times are the
+    # fractions themselves, bit for bit
+    times, score = [], verify.analytic_score
+
+    def spy(*args, **kwargs):
+        times.append(args[5])
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "analytic_score", spy)
+    assert verify.run_score_vs_numeric(world, mw.NoiseSchedule(T=T), n_points=1).passed
+    assert times == [0.1 * T, 0.325 * T, 0.55 * T, 0.775 * T, T]
+    if T == 1.0:
+        assert times == [0.1, 0.325, 0.55, 0.775, 1.0]
+
+
 def test_bayes_identity(world, schedule):
     # grad log p(Y|e) - grad log p(Y) = grad log p(e|Y), all in closed form
     rng = np.random.default_rng(13)
@@ -375,6 +393,17 @@ def test_load_world_rejects_a_row_of_the_wrong_length(world, name, delta):
     with pytest.raises(WorldError, match=f"matrix '{name}' row has {n} values, expected "
                                          f"{world.frame_dim} at line {row}$"):
         load_world("\n".join(lines) + "\n")
+
+
+def test_load_world_rejects_content_after_the_last_matrix(world):
+    # an extra token_effect row, then a garbage line: the first one is named;
+    # blank lines after the last matrix are left alone
+    lines = dump_world(world).splitlines()
+    n = len(lines)
+    assert load_world("\n".join(lines) + "\n\n  \n").token_effect.shape == (world.vocab,
+                                                                             world.frame_dim)
+    with pytest.raises(WorldError, match=f"after matrix 'token_effect' at line {n + 2}$"):
+        load_world("\n".join(lines + ["", lines[-1], "garbage"]) + "\n")
 
 
 def test_load_world_rejects_garbage():

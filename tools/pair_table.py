@@ -10,8 +10,10 @@ per workload: each side's median, the change against the parent, the
 parent's interquartile range, the pairs the change won (ties count for
 neither side) and whether the median is worse than the parent's by more
 than the metric's bound. It lists the seeds of runs flagged
-``competing_load`` and each pair's two probe medians (the ``probe_ms`` that
-scales a run's legs), and writes the same figures to ``--out`` as JSON.
+``competing_load`` or not ``correct``, each metric left out because some
+run lacks it (a leg whose every operation failed has no time), and each
+pair's two probe medians (the ``probe_ms`` that scales a run's legs), and
+writes the same figures to ``--out`` as JSON.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def table(parent_dir: Path, change_dir: Path) -> dict:
     for workload in sorted({w for w, _ in parent} & {w for w, _ in change}):
         seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
         pairs = [(parent[(workload, s)], change[(workload, s)]) for s in seeds]
-        metrics = {}
+        metrics, left_out = {}, []
         for m in spec["end_to_end"]:
             name = m["name"]
             if all(name in p["metrics"] and name in c["metrics"] for p, c in pairs):
@@ -68,11 +70,16 @@ def table(parent_dir: Path, change_dir: Path) -> dict:
                                  **compare([p["metrics"][name] for p, _ in pairs],
                                            [c["metrics"][name] for _, c in pairs],
                                            m["better"], m["bound"])}
+            else:
+                left_out.append(name)
+        sides = (("parent", [p for p, _ in pairs]), ("change", [c for _, c in pairs]))
         out[workload] = {
             "seeds": seeds,
             "competing_load": {side: [s for s, rec in zip(seeds, recs) if rec["competing_load"]]
-                               for side, recs in (("parent", [p for p, _ in pairs]),
-                                                  ("change", [c for _, c in pairs]))},
+                               for side, recs in sides},
+            "not_correct": {side: [s for s, rec in zip(seeds, recs) if not rec["correct"]]
+                            for side, recs in sides},
+            "left_out": left_out,
             "failed": {"parent": sum(p["failed"] for p, _ in pairs),
                        "change": sum(c["failed"] for _, c in pairs)},
             "probe_ms": [[statistics.median(p["probe_ms"]), statistics.median(c["probe_ms"])]
@@ -95,8 +102,13 @@ def markdown(result: dict) -> str:
                          f"{'yes' if m['worse_beyond_bound'] else 'no'} |")
         notes.append(f"{workload}: seeds {w['seeds']}; competing_load parent "
                      f"{w['competing_load']['parent']}, change {w['competing_load']['change']}; "
+                     f"not correct parent {w['not_correct']['parent']}, "
+                     f"change {w['not_correct']['change']}; "
                      f"failed operations parent {w['failed']['parent']}, "
                      f"change {w['failed']['change']}")
+        if w["left_out"]:
+            notes.append(f"{workload}: left out, missing from some run: "
+                         + ", ".join(w["left_out"]))
         notes.append(f"{workload}: probe medians (ms), parent/change by seed: " + ", ".join(
             f"{s} {p:.4g}/{c:.4g}" for s, (p, c) in zip(w["seeds"], w["probe_ms"])))
     return "\n".join(lines + [""] + notes)
