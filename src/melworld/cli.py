@@ -230,15 +230,14 @@ def cmd_eval(run: Run) -> tuple[dict, str]:
     reports = [{"metric": metric, "value": getattr(row, metric), "n": row.n,
                 "fingerprint": fingerprint}
                for metric in ("eca", "content_error", "secs_mean_frame", "secs_style")]
-    return ({"metrics.csv": mx.SweepResult(rows=[row]).to_csv(),
+    return ({"metrics.csv": mx.sweep_csv([row]),
              "report.jsonl": _jsonl(reports)},
             "\n".join(f"{r['metric']}: {r['value']:.4f} (n={r['n']})" for r in reports))
 
 
 def cmd_sweep(run: Run) -> tuple[dict, str]:
-    result = mx.guidance_sweep(run.ckpt.model, gammas=list(run.config["eval"]["gammas"]),
-                               **_eval_cell(run))
-    csv = result.to_csv()
+    csv = mx.sweep_csv(mx.guidance_sweep(run.ckpt.model, gammas=run.config["eval"]["gammas"],
+                                         **_eval_cell(run)))
     return {"metrics.csv": csv}, f"{csv}-> {run.dir / 'metrics.csv'}"
 
 

@@ -42,29 +42,21 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _list_parser(cast):
-    """Parser of comma-separated values; empty text is the empty tuple."""
-    return lambda raw: tuple(cast(v) for v in raw.split(",")) if raw.strip() else ()
+def _list_kind(cast, show):
+    """Comma-separated values; empty text is the empty tuple."""
+    return (lambda raw: tuple(cast(v) for v in raw.split(",")) if raw.strip() else (),
+            lambda value: ",".join(show(v) for v in value))
 
 
-_PARSERS = {
-    "int": int,
-    "float": float,
-    "bool": _parse_bool,
-    "str": lambda s: s.strip(),
-    "int_list": _list_parser(int),
-    "float_list": _list_parser(float),
+# per value kind, its parser and the renderer whose text that parser reads back
+_KINDS = {
+    "int": (int, str),
+    "float": (float, lambda value: repr(float(value))),
+    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+    "str": (lambda s: s.strip(), str),
+    "int_list": _list_kind(int, str),
+    "float_list": _list_kind(float, repr),
 }
-
-
-def _render_value(kind: str, value) -> str:
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind in ("int_list", "float_list"):
-        return ",".join(repr(v) if kind == "float_list" else str(v) for v in value)
-    if kind == "float":
-        return repr(float(value))
-    return str(value)
 
 
 # the dataclass that owns each section's fields; cli builds them from a
@@ -126,7 +118,7 @@ def _parse_value(section: str, key: str, raw: str, where: str):
         raise ConfigError(f"{where}unknown key '{key}' in section [{section}]")
     kind = SCHEMA[section][key][0]
     try:
-        value = _PARSERS[kind](raw)
+        value = _KINDS[kind][0](raw)
     except ValueError as exc:
         raise ConfigError(f"{where}bad {kind} value for {section}.{key}: "
                           f"{raw.strip()!r} ({exc})") from exc
@@ -190,7 +182,7 @@ def render(config: dict[str, dict]) -> str:
     for section, keys in SCHEMA.items():
         lines.append(f"[{section}]")
         for key, spec in keys.items():
-            lines.append(f"{key} = {_render_value(spec[0], config[section][key])}")
+            lines.append(f"{key} = {_KINDS[spec[0]][1](config[section][key])}")
         lines.append("")
     return "\n".join(lines)
 

@@ -112,8 +112,8 @@ def _rng(seed):
 
 
 def perturb(y0, mu, t, schedule: NoiseSchedule, noise_seed):
-    """Forward kernel draw for a batch y0 (n, L, D) with one t per row;
-    returns (Y_t, conditional score of Y_t given Y_0).
+    """The forward kernel draw that DSM and the noisy classifier both train on, for a
+    batch y0 (n, L, D) with one t per row; returns (Y_t, conditional score of Y_t given Y_0).
 
     The target score is -z / sqrt(var(t)), the quantity denoising score
     matching regresses on.
@@ -129,7 +129,7 @@ def perturb(y0, mu, t, schedule: NoiseSchedule, noise_seed):
     rho = schedule.rho(t)[:, None, None]
     sd = np.sqrt(schedule.var(t))[:, None, None]
     z = _rng(noise_seed).standard_normal(y0.shape)
-    y_t = mu + (y0 - mu) * rho + sd * z
+    y_t = mu * (1.0 - rho) + (y0 * rho + sd * z)
     return y_t, -z / sd
 
 
@@ -244,29 +244,21 @@ def dsm_loss_t(scorenet: ScoreNet, y0: np.ndarray, mu, s, e_emb,
                schedule: NoiseSchedule, rng: np.random.Generator) -> Tensor:
     """Denoising score-matching loss as a graph node.
 
-    Draws one t ~ U[t_min, T] and one noise realization per batch element,
-    forms Y_t with the forward kernel, and returns
-    mean(var(t) * (score - target)^2) over all elements. mu and s are
-    constants; pass e_emb as a Tensor to let gradients flow into the
-    emotion table.
+    Draws one t ~ U[t_min, T] per batch element, then Y_t and its target
+    score from :func:`perturb`, and returns mean(var(t) * (score - target)^2)
+    over all elements. mu and s are constants; pass e_emb as a Tensor to let
+    gradients flow into the emotion table.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 3 or y0.shape[0] == 0:
         raise DiffusionError(f"expected nonempty batch (n, L, D), got shape {y0.shape}")
-    n = y0.shape[0]
-    t = rng.uniform(schedule.t_min, schedule.T, size=n)
-    z = rng.standard_normal(y0.shape)
-    rho = schedule.rho(t)[:, None, None]
-    var = schedule.var(t)[:, None, None]
-    sd = np.sqrt(var)
-
+    t = rng.uniform(schedule.t_min, schedule.T, size=y0.shape[0])
     mu = np.asarray(mu, dtype=np.float64)
-    # this grouping, not perturb's, fixes the trained bytes
-    y_t = mu * (1.0 - rho) + (y0 * rho + sd * z)
+    y_t, target = perturb(y0, mu, t, schedule, rng)
     e = e_emb if isinstance(e_emb, Tensor) else np.asarray(e_emb, dtype=np.float64)
     eps = scorenet.score_t(y_t, t, mu, np.asarray(s, dtype=np.float64), e)
-    resid = ad.sub(eps, Tensor(-z / sd))
-    return ad.tmean(ad.mul(ad.mul(resid, resid), Tensor(var)))
+    resid = ad.sub(eps, Tensor(target))
+    return ad.tmean(ad.mul(ad.mul(resid, resid), Tensor(schedule.var(t)[:, None, None])))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import MelworldError
-from .diffusion import sample_cfg, sample_cg, sample_reverse
+from .diffusion import _check_gamma, sample_cfg, sample_cg, sample_reverse
 from .training import Checkpoint, EmotionProbeHead, Model
 from .world import World, condition_means, neutral_references, sample_utterance_batch
 
@@ -156,8 +156,9 @@ def sample_frames(model: Model, mode: str, tokens, styles, emotions, gamma: floa
                   trajectory: list | None = None) -> np.ndarray:
     """Frames (n, L, D) for tokens (n, L), styles (n, style_dim) and target
     emotions (n,) under one sampling mode: none (the conditional sampler),
-    cfg or cg."""
+    cfg or cg; each rejects a guidance scale that is negative or not finite."""
     if mode == "none":
+        _check_gamma(gamma)
         e_cond = model.table.embed(emotions)
         mu = model.generator.generate(tokens, styles, e_cond)
         return sample_reverse(model.scorenet, mu, styles, e_cond, model.schedule, steps,
@@ -229,26 +230,21 @@ class SweepRow:
     n: int
 
 
-@dataclass
-class SweepResult:
-    rows: list[SweepRow]
-
-    def to_csv(self) -> str:
-        lines = ["gamma,mode,eca,content_error,secs_mean_frame,secs_style,n"]
-        for row in self.rows:
-            lines.append(f"{row.gamma:g},{row.mode},{row.eca:.4f},"
-                         f"{row.content_error:.6f},{row.secs_mean_frame:.6f},"
-                         f"{row.secs_style:.6f},{row.n}")
-        return "\n".join(lines) + "\n"
+def sweep_csv(rows: list[SweepRow]) -> str:
+    """A header line, then one CSV line per row."""
+    lines = ["gamma,mode,eca,content_error,secs_mean_frame,secs_style,n"]
+    for row in rows:
+        lines.append(f"{row.gamma:g},{row.mode},{row.eca:.4f},"
+                     f"{row.content_error:.6f},{row.secs_mean_frame:.6f},"
+                     f"{row.secs_style:.6f},{row.n}")
+    return "\n".join(lines) + "\n"
 
 
 def evaluate_cell(model: Model, world: World, speakers, mode: str, gamma: float,
-                  n_samples: int, seed: int, steps: int = 100,
-                  n_scripts: int = 10, script_len: int = 8,
-                  stochastic: bool = True) -> SweepRow:
+                  n_samples: int, seed: int, **protocol) -> SweepRow:
+    """One metrics row; ``protocol`` is passed on to :func:`generate_eval_samples`."""
     samples, refs, styles = generate_eval_samples(
-        model, world, speakers, mode, gamma, n_samples, seed, steps,
-        n_scripts, script_len, stochastic)
+        model, world, speakers, mode, gamma, n_samples, seed, **protocol)
     secs_frame, secs_style = _speaker_embeddings(world, samples, refs, styles, model)
     return SweepRow(
         gamma=float(gamma),
@@ -262,20 +258,15 @@ def evaluate_cell(model: Model, world: World, speakers, mode: str, gamma: float,
 
 
 def guidance_sweep(model: Model, world: World, speakers, gammas,
-                   mode: str, n_samples: int, seed: int, steps: int = 100,
-                   n_scripts: int = 10, script_len: int = 8,
-                   stochastic: bool = True) -> SweepResult:
-    """One metrics row per gamma, each from fresh samples; emits CSV."""
+                   mode: str, n_samples: int, seed: int, **protocol) -> list[SweepRow]:
+    """One :func:`evaluate_cell` row per gamma, each from fresh samples."""
     gammas = list(gammas)
     if not gammas:
         raise EvalError("gammas must be nonempty")
     if any(b < a for a, b in zip(gammas, gammas[1:])):
         raise EvalError("gammas must be ascending")
-    return SweepResult(rows=[
-        evaluate_cell(model, world, speakers, mode, gamma,
-                      n_samples, seed, steps, n_scripts, script_len, stochastic)
-        for gamma in gammas
-    ])
+    return [evaluate_cell(model, world, speakers, mode, gamma, n_samples, seed, **protocol)
+            for gamma in gammas]
 
 
 # ---------------------------------------------------------------------------

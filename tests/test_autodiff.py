@@ -3,7 +3,7 @@ gradient reversal, determinism."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from melworld import autodiff as ad
 from melworld.autodiff import GraphError, ParamStore, Tensor, gradcheck
@@ -352,6 +352,8 @@ def test_random_graph_gradients_match_finite_differences(seed):
     ad.mlp_init(store, "net", [3, 5, 2])
 
     x = Tensor(rng.standard_normal((4, 3)))
+    # a central difference that straddles relu's kink is no reference
+    assume(np.abs(ad.mlp_apply(store, "net", [x]).data).min() >= 1e-3)
 
     def loss():
         h = ad.mlp_apply(store, "net", [x])

@@ -277,7 +277,7 @@ def test_sample_and_trajectory(trained_run, tmp_path, mode):
     assert len(trajectory) == 5
 
 
-@pytest.mark.parametrize("mode", ["cfg", "cg"])
+@pytest.mark.parametrize("mode", ["none", "cfg", "cg"])
 @pytest.mark.parametrize("gamma", ["-1", "nan", "inf"])
 def test_a_bad_guidance_scale_is_named(trained_run, tmp_path, capsys, mode, gamma):
     assert main(["sample", "--checkpoint", str(trained_run / "checkpoint.bin"),
@@ -381,6 +381,9 @@ _CORRUPT = {
     ("train", "train.steps=2 model.beta1=inf", None),
     ("train", "train.steps=2 train.utt_len=100", None),
     ("gen-data", "run.seed=0", "world-trailing"),
+    ("sample", "sample.mode=none sample.gamma=nan", None),
+    ("sample", "sample.mode=none sample.gamma=-1", None),
+    ("eval", "eval.mode=none sample.gamma=inf", None),
 ], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint",
         "sample-tokens", "sample-n", "sample-mode-comment", "train-batch-size",
         "sample-speaker", "truncated-world", "world-header-value", "world-matrix-entry",
@@ -394,7 +397,8 @@ _CORRUPT = {
         "world-max-len", "eval-per-emotion", "cfg-gamma", "gamma-nan", "train-clip-norm",
         "train-clip-norm-nan", "train-lr", "train-dat-probe-lr", "train-alpha-nan",
         "train-w-dsm-nan", "train-t-final-inf", "verify-t-final-inf", "train-beta1-inf",
-        "train-utt-len", "world-trailing-content"])
+        "train-utt-len", "world-trailing-content", "none-gamma-nan", "none-gamma-negative",
+        "eval-none-gamma-inf"])
 def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, setting,
                                              corrupt):
     # ``setting`` holds one or more space-separated overrides; ``corrupt``
@@ -501,6 +505,30 @@ def test_eval_reports(trained_run, tmp_path):
     assert all("fingerprint" in r and r["n"] == 4 for r in reports)
 
 
+# sha256 of a short CFG sweep and of an unguided, deterministic eval on the
+# unseen speakers, both from the FAST_TRAIN checkpoint; each leaves some
+# protocol value at other than its default
+_EVAL_BYTES = {
+    "sweep/metrics.csv": "2dcce70f56355b949dd51860b55aa6c58087aa37570d03cf4356a580e9e4872a",
+    "eval/metrics.csv": "0b52c2e58648a8bd4813c177277dcc4a5ce898568af0235fee820979f6f1646d",
+    "eval/report.jsonl": "60c8d7aeaa136c78f590203467b19a84e6973b76b48cc46acae6f6a615771f8a",
+}
+
+
+def test_sweep_and_eval_bytes_pinned(trained_run, tmp_path):
+    ckpt = ["--checkpoint", str(trained_run / "checkpoint.bin")]
+    assert main(["sweep", *ckpt, "--outdir", str(tmp_path / "sweep"),
+                 "--set", "eval.gammas=0,1.5", "--set", "eval.n_samples=6",
+                 "--set", "eval.steps=5", "--set", "eval.n_scripts=3",
+                 "--set", "eval.script_len=5"]) == 0
+    assert main(["eval", *ckpt, "--outdir", str(tmp_path / "eval"), "--set", "eval.mode=none",
+                 "--set", "eval.n_samples=6", "--set", "eval.steps=5",
+                 "--set", "eval.stochastic=false", "--set", "eval.group=unseen"]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in _EVAL_BYTES}
+    assert got == _EVAL_BYTES
+
+
 def test_train_clf_requires_matching_world(trained_run, tmp_path, capsys):
     out = tmp_path / "clf"
     code = main(["train-clf", "--checkpoint", str(trained_run / "checkpoint.bin"),
@@ -523,9 +551,9 @@ def test_train_reproducible_losses(tmp_path):
 # refactor that keeps behaviour keeps every byte
 _FLOW_BYTES = {
     "train/checkpoint.bin": "4e851a7e2d9b886cd16e752e1dfb660f9796e4cf9999db40dd1a55ba2d27efec",
-    "clf/checkpoint.bin": "575426dfaf4108b5c88bbe32573f64786046493d8db161d015601a10a76d6178",
-    "clf/losses.jsonl": "bd3dc484cc503104ac9f2112c22684fd42dcc174b50e092b130f353dca7d2b29",
-    "cg/samples.jsonl": "ce5d3e1ae591d8048e436a7cfc584dca9a3e98ca93767d41c463d6db6df1060e",
+    "clf/checkpoint.bin": "f09a71fd5a6949a968d0bf6197012f90eeab14f2ccc9aa07e8b476fc70efb979",
+    "clf/losses.jsonl": "aeec0bbcffd6b831cf9f890d455d99993f0ad1c09f6048c3bbdfc21c4ec6696d",
+    "cg/samples.jsonl": "2bff04f107317033621d0241758e42cebbd6554cfda4efddb46b6a7b5a7cffa7",
 }
 
 
@@ -547,8 +575,8 @@ def test_train_train_clf_and_cg_sample_bytes_pinned(tmp_path):
 
 # sha256 of a `train-clf` run whose every step clips the classifier's gradient
 _CLIPPED_CLF_BYTES = {
-    "checkpoint.bin": "f2b099525db5a6c64839e3a792666801b97de9183047829cb486e1f9d4656d35",
-    "losses.jsonl": "a65e8a614bc8f34143ca7355dc56908fdaa54cf16a8939c6c8c79668c82a3ed4",
+    "checkpoint.bin": "19f57d1dcadc116327ac6ac4104a83b90f654a11edea0f908b394270ee693994",
+    "losses.jsonl": "3f8814a75af87daef47388e9b4f0b7c3b43b0262bc7dfc37d7b0ac525ffe326e",
 }
 
 

@@ -190,6 +190,29 @@ def test_dsm_loss_zero_for_perfect_estimator(schedule):
     assert float(loss.data) == 0.0
 
 
+def test_dsm_loss_draws_y_t_and_target_from_perturb(schedule):
+    # for the same generator state, the Y_t the score net receives and the
+    # target it is scored against are perturb's, bit for bit
+    y0, mu = np.random.default_rng(5).standard_normal((2, 3, 4, 2))
+    rng = np.random.default_rng(99)
+    t = rng.uniform(schedule.t_min, schedule.T, size=3)
+    y_t, target = mw.perturb(y0, mu, t, schedule, rng)
+    received = []
+
+    class Recorder:
+        def score_t(self, y, t, mu, s, e):
+            received.append((y, t))
+            # the residual is exactly 0 only where the two targets are equal
+            return Tensor(target)
+
+    loss = dsm_loss_t(Recorder(), y0, mu, np.zeros((3, 16)), np.zeros((3, 8)), schedule,
+                      np.random.default_rng(99))
+    ((got_y, got_t),) = received
+    assert got_t.tobytes() == t.tobytes()
+    assert got_y.tobytes() == y_t.tobytes()
+    assert float(loss.data) == 0.0
+
+
 def test_dsm_loss_nonnegative(schedule):
     net = mw.ScoreNet(4, mw.ModelConfig(seed=1))
     rng = np.random.default_rng(6)

@@ -16,6 +16,7 @@ from melworld.metrics import (
     guidance_sweep,
     make_scripts,
     styles_tsv,
+    sweep_csv,
 )
 from melworld.training import EmotionProbeHead, sgd_update
 from melworld.world import WorldConfig, sample_utterance_batch, utterance_mean
@@ -219,10 +220,10 @@ def ckpt(world):
 
 def test_guidance_sweep_rows_and_csv(world, ckpt):
     checkpoint, split = ckpt
-    result = guidance_sweep(checkpoint.model, world, split.seen, [0.0, 1.0], "cfg",
-                            n_samples=8, seed=0, steps=10)
-    assert len(result.rows) == 2
-    csv = result.to_csv()
+    rows = guidance_sweep(checkpoint.model, world, split.seen, [0.0, 1.0], "cfg",
+                          n_samples=8, seed=0, steps=10)
+    assert len(rows) == 2
+    csv = sweep_csv(rows)
     lines = csv.strip().split("\n")
     assert lines[0] == "gamma,mode,eca,content_error,secs_mean_frame,secs_style,n"
     assert len(lines) == 3
@@ -232,7 +233,7 @@ def test_guidance_sweep_deterministic_bytes(world, ckpt):
     checkpoint, split = ckpt
     a = guidance_sweep(checkpoint.model, world, split.seen, [0.0], "cfg", 6, seed=1, steps=8)
     b = guidance_sweep(checkpoint.model, world, split.seen, [0.0], "cfg", 6, seed=1, steps=8)
-    assert a.to_csv() == b.to_csv()
+    assert sweep_csv(a) == sweep_csv(b)
 
 
 def test_guidance_sweep_rejects_bad_gammas(world, ckpt):
