@@ -353,16 +353,19 @@ def mse(a, b) -> Tensor:
     return _make("mse", out_data, (a, b), backward)
 
 
-def softmax_ce_parts(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, float]:
+def softmax_ce_parts(logits: np.ndarray, labels, rows=None) -> tuple[np.ndarray, np.ndarray, float]:
     """The one softmax cross-entropy, on logits (n, K) and integer labels (n,):
     softmax(logits), that softmax minus the one-hot rows of ``labels`` (the
     cross-entropy's gradient per row), and the mean cross-entropy. The graph
-    node scales the middle one by ``g / n``, the graph-free steps by ``1 / n``."""
+    node scales the middle one by ``g / n``, the graph-free steps by ``1 / n``. Given
+    ``rows``, a kept ``np.arange(n)``, no cross-entropy is taken (None in its place)."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     p = np.exp(shifted)
     total = p.sum(axis=-1, keepdims=True)
-    rows = np.arange(len(p))
-    loss = float((np.log(total[:, 0]) - shifted[rows, labels]).sum() / max(len(p), 1))
+    loss = None
+    if rows is None:
+        rows = np.arange(len(p))
+        loss = float((np.log(total[:, 0]) - shifted[rows, labels]).sum() / max(len(p), 1))
     p /= total
     softmax_rows = p.copy()
     p[rows, labels] -= 1.0

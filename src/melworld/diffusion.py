@@ -106,6 +106,25 @@ def _time_row(key: str) -> np.ndarray:
     return row
 
 
+def _time_consts(schedule: NoiseSchedule, t):
+    """Time-embedding rows (m, TIME_EMB_DIM), sd(t) (m, 1) and 1 / sd(t) (m, 1, 1) of one
+    t or one per row; a scalar t's are memoized read-only, keyed by schedule and t's hex."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim == 0:
+        return _scalar_consts(schedule, float(t).hex())
+    sd = np.sqrt(schedule.var(t)).reshape(-1, 1)
+    return _embed(t), sd, (1.0 / sd).reshape(-1, 1, 1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _scalar_consts(schedule: NoiseSchedule, key: str):
+    # a row of one t is bitwise the scalar's
+    consts = _time_consts(schedule, [float.fromhex(key)])
+    for a in consts:
+        a.setflags(write=False)
+    return consts
+
+
 def _rng(seed):
     # anything with standard_normal works, so tests can inject noise stubs
     return seed if hasattr(seed, "standard_normal") else np.random.default_rng(seed)
@@ -187,16 +206,16 @@ class ScoreNet:
 
     def _forward(self, rows, y_t, t, mu, net=None, skip=None):
         """The score at Y_t and t on the MLP input ``rows``, with Y_t - mu and 1 / sd(t),
-        each taken once per distinct t. Lists ``net`` and ``skip`` receive each MLP's
-        layer inputs, and then every layer is checked finite."""
+        each taken once per distinct t (:func:`_time_consts`). Lists ``net`` and ``skip``
+        receive each MLP's layer inputs, and then every layer is checked finite."""
         if y_t.shape != mu.shape:
             raise DiffusionError(f"Y_t shape {y_t.shape} does not match mu {mu.shape}")
-        temb, sd = np.atleast_2d(time_embedding(t)), np.sqrt(self.schedule.var(t)).reshape(-1, 1)
+        temb, sd, inv_sd = _time_consts(self.schedule, t)
         rows[..., :self.frame_dim] = y_t
         rows[..., self.frame_dim:self.frame_dim + TIME_EMB_DIM] = temb[:, None, :]
         check = net is not None
         noise = ad.mlp_eval(self.params, "net", [rows], net, check)
-        dy, inv_sd = y_t - mu, (1.0 / sd).reshape(-1, 1, 1)
+        dy = y_t - mu
         noise += dy * (ad.mlp_eval(self.params, "skip", [temb], skip, check) - sd)[..., None]
         noise *= inv_sd
         return noise, dy, inv_sd
@@ -296,25 +315,33 @@ def guided_score_cg(score_uncond, noisy_clf, y_t, t: float, target_e, gamma: flo
     The classifier gradient with respect to Y_t and the posterior that is
     checked for validity come from the same forward pass (for the trained
     classifier, a hand-written backward on its parameters' arrays); at
-    gamma=0 the unconditional score is returned untouched (bitwise).
+    gamma=0 the unconditional score is returned untouched (bitwise); one :func:`sample_cg` step.
     """
     _check_gamma(gamma)
-    score_uncond = np.asarray(score_uncond, dtype=np.float64)
+    score_uncond, y_t = (np.asarray(a, dtype=np.float64) for a in (score_uncond, y_t))
+    grad = _bound(noisy_clf, target_e, call=noisy_clf.grad_log_prob)
+    return _cg_step(score_uncond, noisy_clf, grad, y_t, t, gamma)
+
+
+def _cg_step(score, noisy_clf, grad_fn, y_t, t, gamma: float) -> np.ndarray:
+    """CG at a checked gamma; gamma scales a gradient of shape (n, 1, D) before it broadcasts."""
     if gamma == 0.0:
         _check_posterior(noisy_clf.posterior(y_t, t))
-        return score_uncond
-    grad, probs = noisy_clf.grad_log_prob(y_t, t, target_e)
+        return score
+    grad, probs = grad_fn(y_t, t)
     _check_posterior(probs)
-    if grad.shape != score_uncond.shape:
+    if grad.shape != score.shape and grad.shape != score.shape[:1] + (1,) + score.shape[2:]:
         raise DiffusionError(f"classifier gradient shape {grad.shape} does not match "
-                             f"score shape {score_uncond.shape}")
-    return score_uncond + gamma * grad
+                             f"score shape {score.shape}")
+    return score + gamma * grad
 
 
 # ---------------------------------------------------------------------------
 # reverse samplers
 
 
+# an overflow to inf or nan fails the divergence check, which names the step
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate(score_fn, mu: np.ndarray, schedule: NoiseSchedule, steps: int,
                rng: np.random.Generator, stochastic: bool,
                trajectory: list | None = None) -> np.ndarray:
@@ -327,14 +354,17 @@ def _integrate(score_fn, mu: np.ndarray, schedule: NoiseSchedule, steps: int,
     # allocates nothing, and NaN fails it
     lo, hi = mu.max() - _Y_LIMIT, mu.min() + _Y_LIMIT
     h = schedule.T / steps
+    drift, noise = np.empty_like(y), np.empty_like(y)  # written in place each step
     for k in range(steps):
         t = max(schedule.T - k * h, schedule.t_min)
         beta = float(schedule.beta(t))
         score = score_fn(y, t)
         # the reverse SDE; the probability-flow ODE halves the score and adds no noise
-        y -= h * beta * (0.5 * (mu - y) - (score if stochastic else 0.5 * score))
+        np.multiply(0.5, np.subtract(mu, y, out=drift), out=drift)
+        drift -= score if stochastic else np.multiply(0.5, score, out=noise)
+        y -= np.multiply(h * beta, drift, out=drift)
         if stochastic:
-            y += np.sqrt(beta * h) * rng.standard_normal(y.shape)
+            y += np.multiply(np.sqrt(beta * h), rng.standard_normal(out=noise), out=noise)
         if not (lo <= y.min() and y.max() <= hi):
             dev = np.abs(y - mu).max()  # nan or inf where the score was not finite
             if not dev <= _Y_LIMIT:
@@ -364,12 +394,13 @@ def sample_reverse(scorenet, mu, s, e_emb, schedule: NoiseSchedule, steps: int,
                       stochastic, trajectory)
 
 
-def _bound(scorenet, mu, s, e):
-    """``score(y, t)`` at one run's constants: :meth:`ScoreNet.bind`, or any other
-    callable (y_t, t, mu, s, e_emb) -> score given them on every call."""
-    if isinstance(scorenet, ScoreNet):
-        return scorenet.bind(mu, s, e)
-    return lambda y, t: scorenet(y, t, mu, s, e)
+def _bound(model, *consts, call=None):
+    """``f(y, t)`` at one run's constants: ``model.bind(*consts)``, or for a model without
+    ``bind`` (an oracle, a test stub) ``(call or model)(y, t, *consts)`` on every call."""
+    if hasattr(model, "bind"):
+        return model.bind(*consts)
+    call = call or model
+    return lambda y, t: call(y, t, *consts)
 
 
 def _guided_inputs(generator, table, tokens, s, emotion_label, gamma: float):
@@ -425,8 +456,9 @@ def sample_cg(scorenet, noisy_clf, generator, table, tokens, s, emotion_label,
     _, s, targets, e_null, mu_null = _guided_inputs(generator, table, tokens, s, emotion_label,
                                                     gamma)
     score = _bound(scorenet, mu_null, s, e_null)
+    grad = _bound(noisy_clf, targets, call=noisy_clf.grad_log_prob)
 
     def score_fn(y, t):
-        return guided_score_cg(score(y, t), noisy_clf, y, t, targets, gamma)
+        return _cg_step(score(y, t), noisy_clf, grad, y, t, gamma)
 
     return _integrate(score_fn, mu_null, schedule, steps, _rng(seed), stochastic, trajectory)

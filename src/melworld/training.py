@@ -186,11 +186,11 @@ class NoisyClassifier:
         ad.mlp_init(self.params, "net", [frame_dim + TIME_EMB_DIM]
                     + [config.clf_hidden] * config.n_hidden + [n_emotions])
 
-    def _input(self, y_t: np.ndarray, t) -> list:
-        """The MLP's input, one block: the pooled frames, then the time embedding."""
+    def _input(self, y_t: np.ndarray, t, x: np.ndarray | None = None) -> list:
+        """The MLP's input block (``x`` if given): the pooled frames, then the time embedding."""
         if y_t.ndim != 3 or y_t.shape[-1] != self.frame_dim:
             raise TrainingError(f"expected frames (n, L, D={self.frame_dim}), got {y_t.shape}")
-        x = np.empty((len(y_t), self.frame_dim + TIME_EMB_DIM))
+        x = np.empty((len(y_t), self.frame_dim + TIME_EMB_DIM)) if x is None else x
         np.mean(y_t, axis=-2, out=x[:, :self.frame_dim])
         x[:, self.frame_dim:] = time_embedding(t)
         return [x]
@@ -199,27 +199,36 @@ class NoisyClassifier:
         x = self._input(np.asarray(y_t, dtype=np.float64), t)
         return np_softmax(ad.mlp_eval(self.params, "net", x), axis=-1)
 
-    def grad_log_prob(self, y_t, t, target) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient of log p(target | Y_t) with respect to Y_t, one target
-        per row, and the posterior p(. | Y_t). One forward pass and a
-        hand-written backward on the parameters' arrays, with no graph: the
-        operations of ``softmax_cross_entropy`` on the classifier's graph and
-        of its backward (:func:`~melworld.autodiff.softmax_ce_parts`) in the
-        same order, so bitwise equal to them."""
-        y_t = np.asarray(y_t, dtype=np.float64)
-        x = self._input(y_t, t)
-        n, length, dim = y_t.shape
+    def bind(self, target):
+        """``grad(y_t, t)``: the gradient of log p(target | Y_t), one target per row, with
+        respect to a float64 Y_t (n, L, D), as one row per utterance (n, 1, D), and the
+        posterior p(. | Y_t). The targets are range-checked once; the row indices and the
+        MLP input are kept. One forward pass and a hand-written backward on the
+        parameters' arrays: the graph's ``softmax_cross_entropy`` and its backward
+        (:func:`~melworld.autodiff.softmax_ce_parts`), bitwise, less the loss value."""
         target = np.asarray(target, dtype=np.int64)
-        if target.shape != (n,):
-            raise TrainingError(f"expected one target per row, shape ({n},), got {target.shape}")
         bad = target[(target < 0) | (target >= self.n_emotions)]
         if bad.size:
             raise TrainingError(f"target {bad[0]} out of range [0, {self.n_emotions})")
-        layers = []
-        logits = ad.mlp_eval(self.params, "net", x, layers)
-        posterior, delta, _ = ad.softmax_ce_parts(logits, target)
-        g, _ = ad.mlp_backward(self.params, "net", layers, (1.0 / n) * delta, param_grads=False)
-        return -n * np.broadcast_to(g[:, None, :dim] / length, y_t.shape), posterior
+        n = target.size
+        rows, x = np.arange(n), np.empty((n, self.frame_dim + TIME_EMB_DIM))
+
+        def grad(y_t, t):
+            if y_t.ndim == 3 and target.shape != y_t.shape[:1]:
+                raise TrainingError(f"expected targets of shape ({len(y_t)},), got {target.shape}")
+            layers = []
+            logits = ad.mlp_eval(self.params, "net", self._input(y_t, t, x), layers)
+            posterior, delta, _ = ad.softmax_ce_parts(logits, target, rows)
+            g, _ = ad.mlp_backward(self.params, "net", layers, (1.0 / n) * delta, param_grads=False)
+            return -n * (g[:, None, :self.frame_dim] / y_t.shape[1]), posterior
+
+        return grad
+
+    def grad_log_prob(self, y_t, t, target) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`bind`'s gradient at ``target`` for one Y_t, broadcast to its shape."""
+        y_t = np.asarray(y_t, dtype=np.float64)
+        g, posterior = self.bind(target)(y_t, t)
+        return np.broadcast_to(g, y_t.shape), posterior
 
 
 @dataclass

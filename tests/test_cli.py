@@ -384,6 +384,8 @@ _CORRUPT = {
     ("sample", "sample.mode=none sample.gamma=nan", None),
     ("sample", "sample.mode=none sample.gamma=-1", None),
     ("eval", "eval.mode=none sample.gamma=inf", None),
+    ("sample", "sample.mode=cfg sample.gamma=1e308 sample.steps=2", None),
+    ("eval", "sample.gamma=1e308", None),
 ], ids=["eval-mode", "eval-group", "sweep-group", "sample-emotion", "truncated-checkpoint",
         "sample-tokens", "sample-n", "sample-mode-comment", "train-batch-size",
         "sample-speaker", "truncated-world", "world-header-value", "world-matrix-entry",
@@ -398,7 +400,7 @@ _CORRUPT = {
         "train-clip-norm-nan", "train-lr", "train-dat-probe-lr", "train-alpha-nan",
         "train-w-dsm-nan", "train-t-final-inf", "verify-t-final-inf", "train-beta1-inf",
         "train-utt-len", "world-trailing-content", "none-gamma-nan", "none-gamma-negative",
-        "eval-none-gamma-inf"])
+        "eval-none-gamma-inf", "cfg-gamma-huge", "eval-gamma-huge"])
 def test_bad_input_exits_2_without_traceback(trained_run, tmp_path, command, setting,
                                              corrupt):
     # ``setting`` holds one or more space-separated overrides; ``corrupt``

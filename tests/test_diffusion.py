@@ -1,6 +1,9 @@
 """Forward kernel, DSM loss, the three reverse samplers, the batch-only
 contract of the model and sampler entry points, and graph-free inference."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import softmax
@@ -13,6 +16,7 @@ from melworld.diffusion import (
     TIME_EMB_DIM,
     DiffusionError,
     _check_posterior,
+    _scalar_consts,
     combine_cfg,
     dsm_loss_t,
     time_embedding,
@@ -641,15 +645,72 @@ def test_graph_free_entry_points_match_graph_paths(random_model, clf_logits_t, n
     assert np.array_equal(clf.posterior(y, t),
                           softmax(clf_logits_t(clf, Tensor(y), t).data, axis=-1))
     assert np.array_equal(model.probe.logits(s), model.probe.logits_t(Tensor(s)).data)
-    # the classifier gradient: a hand-written backward against the graph's
+    # the classifier gradient: a hand-written backward against the graph's, from
+    # one bind at two (Y_t, t); the second call leaves the first call's arrays intact
     targets = rng.integers(0, world.n_emotions, size=n)
-    leaf = Tensor(y, requires_grad=True)
-    logits = clf_logits_t(clf, leaf, t)
-    ad.softmax_cross_entropy(logits, targets).backward()
-    clf.params.zero_grad()
-    grad, post = clf.grad_log_prob(y, t, targets)
-    assert np.array_equal(grad, -n * leaf.grad)
-    assert np.array_equal(post, softmax(logits.data, axis=-1))
+    bound = clf.bind(targets)
+    y_b, t_b = rng.standard_normal(y.shape), (rng.uniform(0.01, 1.0, size=n) if per_row_t
+                                              else 0.81)
+    first = bound(y, t)
+    kept = [a.copy() for a in first]
+    calls = [((y, t), first), ((y_b, t_b), bound(y_b, t_b))]
+    for (y_t, t_t), (bound_grad, bound_post) in calls:
+        leaf = Tensor(y_t, requires_grad=True)
+        logits = clf_logits_t(clf, leaf, t_t)
+        ad.softmax_cross_entropy(logits, targets).backward()
+        clf.params.zero_grad()
+        grad, post = clf.grad_log_prob(y_t, t_t, targets)
+        assert np.array_equal(grad, -n * leaf.grad)
+        assert np.array_equal(np.broadcast_to(bound_grad, y_t.shape), grad)
+        assert np.array_equal(post, softmax(logits.data, axis=-1))
+        assert np.array_equal(bound_post, post)
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+
+# T does not enter sd(t), so under that change the two scores agree
+@pytest.mark.parametrize("change,differ", [({"beta1": 10.0}, True), ({"T": 0.5}, False)])
+def test_time_memo_is_keyed_by_the_schedule(random_model, change, differ):
+    # two score nets that differ only in one schedule field, bound in one process
+    # at one scalar t: each is bitwise its own graph path on an empty memo
+    world, model = random_model
+    rng = np.random.default_rng(8)
+    y, mu = rng.standard_normal((2, 3, 8, world.frame_dim))
+    s = rng.standard_normal((3, model.config.style_dim))
+    e = rng.standard_normal((3, model.config.emotion_dim))
+    nets = [model.scorenet, copy.copy(model.scorenet)]
+    nets[1].schedule = dataclasses.replace(model.schedule, **change)
+    expected = []
+    for net in nets:
+        _scalar_consts.cache_clear()
+        expected.append(net.score_t(y, 0.37, mu, s, Tensor(e)).data)
+    assert np.array_equal(*expected) != differ
+    for order in (nets, nets[::-1]):
+        _scalar_consts.cache_clear()
+        for net in order:
+            assert np.array_equal(net.bind(mu, s, e)(y, 0.37), expected[nets.index(net)])
+
+
+def test_bad_cg_targets_fail_before_the_prior_draw(random_model):
+    # a classifier that knows fewer emotions than the table: the targets pass the
+    # table's check, and the classifier's bind rejects them before any step
+    world, model = random_model
+    calls = []
+
+    def score(y, t, mu, s, e):
+        calls.append(t)
+        return np.zeros_like(y)
+
+    class NoDraw:
+        def standard_normal(self, *args, **kwargs):
+            raise AssertionError("the prior was drawn")
+
+    clf = mw.NoisyClassifier(world.frame_dim, world.n_emotions - 1, model.config)
+    bad = world.n_emotions - 1
+    with pytest.raises(TrainingError, match=rf"target {bad} out of range \[0, {bad}\)"):
+        mw.sample_cg(score, clf, model.generator, model.table, np.zeros((2, 4), dtype=int),
+                     np.zeros((2, model.config.style_dim)), [0, bad], model.schedule, 3,
+                     1.0, seed=NoDraw())
+    assert calls == []
 
 
 def test_mlp_inputs_of_the_wrong_width_name_the_store(random_model):
