@@ -126,7 +126,7 @@ def _scalar_consts(schedule: NoiseSchedule, key: str):
 
 
 def _rng(seed):
-    # anything with standard_normal works, so tests can inject noise stubs
+    # anything with standard_normal works (the samplers pass out=), so tests can inject stubs
     return seed if hasattr(seed, "standard_normal") else np.random.default_rng(seed)
 
 
